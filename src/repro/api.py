@@ -8,11 +8,11 @@ is reachable through one object::
     from repro import Session
 
     session = Session(jobs=4)                 # parallel, cached
-    session.transform(graph, mark)            # the five-phase OoO pipeline
+    session.transform(graph=g, mark=m)        # the five-phase OoO pipeline
     session.verify()                          # discharge every obligation
     session.check_obligations()               # certified: recheck stored certificates
-    session.bench("matvec")                   # one benchmark, four flows
-    session.simulate(ck, stimuli=arrays)      # one kernel, one stimulus
+    session.bench(name="matvec")              # one benchmark, four flows
+    session.simulate(graph_or_kernel=ck, stimuli=arrays)  # one kernel, one stimulus
     print(session.report())                   # Tables 2-3 + Figure 8
     print(session.metrics().summary())        # one unified MetricsSnapshot
 
@@ -42,7 +42,6 @@ to per-rewrite matching and pool-worker subtrees.
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -60,37 +59,6 @@ from .rewriting.engine import EngineStats
 from .rewriting.pipeline import GraphitiPipeline, TransformResult
 from .rewriting.rules import VERIFY_FACTORY_SPECS, build_rewrite
 from .rewriting.saturate import SaturationBudget, SaturationStats
-
-
-def _positional_shim(method: str, args: tuple, names: Sequence[str], values: dict) -> None:
-    """Map deprecated positional arguments onto their keyword slots.
-
-    ``Session.transform/simulate/bench`` went keyword-only in v1.7 so that
-    call sites — the verification service's worker pool above all — are
-    unambiguous.  Positional use keeps working for one release with a
-    :class:`DeprecationWarning`; mixing a positional argument with its
-    keyword form is an error, exactly as Python itself would report it.
-    """
-    if not args:
-        return
-    if len(args) > len(names):
-        raise TypeError(
-            f"Session.{method}() takes at most {len(names)} positional "
-            f"argument{'s' if len(names) != 1 else ''} ({len(args)} given)"
-        )
-    warnings.warn(
-        f"positional arguments to Session.{method}() are deprecated and will "
-        f"be removed in the next release; pass "
-        f"{', '.join(f'{name}=...' for name in names[: len(args)])} as keywords",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    for name, value in zip(names, args):
-        if values.get(name) is not None:
-            raise TypeError(
-                f"Session.{method}() got multiple values for argument {name!r}"
-            )
-        values[name] = value
 
 
 class Session:
@@ -193,16 +161,15 @@ class Session:
 
     def transform(
         self,
-        *args,
-        graph: ExprHigh | None = None,
-        mark=None,
+        *,
+        graph: ExprHigh,
+        mark,
         strategy: str = "fixpoint",
         budget: SaturationBudget | None = None,
     ) -> TransformResult:
         """Transform a marked loop: destructive fixpoint or saturation.
 
-        All arguments are keyword-only since v1.7 (positional *graph* and
-        *mark* still work for one release with a ``DeprecationWarning``).
+        All arguments are keyword-only.
 
         ``strategy="fixpoint"`` (the default) runs the five-phase
         out-of-order pipeline; ``strategy="saturate"`` runs the fixpoint
@@ -212,11 +179,6 @@ class Session:
         ``result.graph``.  *budget* bounds the exploration (see
         :class:`~repro.rewriting.saturate.SaturationBudget`).
         """
-        shim = {"graph": graph, "mark": mark}
-        _positional_shim("transform", args, ("graph", "mark"), shim)
-        graph, mark = shim["graph"], shim["mark"]
-        if graph is None or mark is None:
-            raise TypeError("Session.transform() requires graph= and mark=")
         self._require_open("transform")
         pipeline = GraphitiPipeline(
             self.env,
@@ -267,8 +229,6 @@ class Session:
     def check_obligations(
         self,
         specs: Sequence[tuple[str, str, dict]] | None = None,
-        *,
-        sharded: bool = False,
     ) -> list[dict]:
         """Discharge rewrite obligations through the certificate fast path.
 
@@ -283,35 +243,14 @@ SimulationCertificate` in the content-addressed result cache (compact
         Re-validation is a real check: a stale or tampered certificate
         falls back to a full search, never to a trusted verdict.
 
-        With ``sharded=True`` the parallelism moves *inside* each
-        obligation: obligations run one at a time in this process, and a
-        cold search's frontier expansion is partitioned across the worker
-        pool (:func:`repro.refinement.find_weak_simulation_sharded`).
-        Verdicts and certificate hashes are identical either way; sharding
-        pays off when a few large obligations dominate.
-
         Returns one dict per spec, in spec order: ``rewrite``, ``holds``,
         ``verified_flag``, ``mode`` (``"search"`` / ``"recheck"`` /
-        ``"recheck-incremental"`` / ``"search-fallback"`` / ``"mixed"``),
+        ``"search-fallback"`` / ``"mixed"``),
         ``instances``, ``certificate_hashes``, ``detail`` and ``seconds``.
         """
         self._require_open("check_obligations")
         specs = list(specs if specs is not None else VERIFY_FACTORY_SPECS)
         cache_dir = str(self.cache.root) if isinstance(self.cache, ResultCache) else None
-        if sharded:
-            from .exec.workers import check_obligation_certified
-
-            with obs.span("check-obligations", obligations=len(specs), sharded=True):
-                return [
-                    check_obligation_certified(
-                        module=module,
-                        factory=factory,
-                        kwargs=kwargs,
-                        cache_dir=cache_dir,
-                        executor=self.executor,
-                    )
-                    for module, factory, kwargs in specs
-                ]
         units = [
             WorkUnit(
                 uid=f"obligation:{factory}",
@@ -500,9 +439,9 @@ SimulationCertificate` in the content-addressed result cache (compact
 
     def simulate(
         self,
-        *args,
-        graph_or_kernel=None,
-        stimuli=None,
+        *,
+        graph_or_kernel,
+        stimuli,
         backend: str = "compiled",
         kernel=None,
         tags: int | None = None,
@@ -514,9 +453,7 @@ SimulationCertificate` in the content-addressed result cache (compact
     ):
         """Cycle-simulate a circuit: the single simulation entry point.
 
-        All arguments are keyword-only since v1.7 (a positional
-        *graph_or_kernel* still works for one release with a
-        ``DeprecationWarning``).
+        All arguments are keyword-only.
 
         Parameters
         ----------
@@ -549,13 +486,6 @@ SimulationCertificate` in the content-addressed result cache (compact
         from .sim.compiled import BatchRun, compile_circuit
         from .sim.dispatch import BACKENDS, simulate_graph
 
-        shim = {"graph_or_kernel": graph_or_kernel}
-        _positional_shim("simulate", args, ("graph_or_kernel",), shim)
-        graph_or_kernel = shim["graph_or_kernel"]
-        if graph_or_kernel is None:
-            raise TypeError("Session.simulate() requires graph_or_kernel=")
-        if stimuli is None:
-            raise TypeError("Session.simulate() requires stimuli=")
         self._require_open("simulate")
         if backend not in BACKENDS:
             raise ValueError(
@@ -621,21 +551,12 @@ SimulationCertificate` in the content-addressed result cache (compact
 
     def bench(
         self,
-        *args,
-        name: str | None = None,
+        *,
+        name: str,
         program=None,
         backend: str = "compiled",
     ) -> "BenchmarkResult":
-        """Run one benchmark through all four flows.
-
-        All arguments are keyword-only since v1.7 (positional *name* and
-        *program* still work for one release with a ``DeprecationWarning``).
-        """
-        shim = {"name": name, "program": program}
-        _positional_shim("bench", args, ("name", "program"), shim)
-        name, program = shim["name"], shim["program"]
-        if name is None:
-            raise TypeError("Session.bench() requires name=")
+        """Run one benchmark through all four flows (keyword-only arguments)."""
         return self.bench_many(
             [name],
             {name: program} if program is not None else None,

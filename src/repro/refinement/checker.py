@@ -20,9 +20,7 @@ corrupted or tampered certificate fails the hash or a simulation diagram
 and the obligation silently falls back to a full search.  The
 :class:`RefinementReport` records which path produced it: ``mode="search"``
 (cold), ``"recheck"`` (persisted certificate re-validated, via witness
-replay or the exhaustive pass), ``"recheck-incremental"`` (only the
-rewrite-touched region re-validated; see
-:mod:`repro.refinement.incremental`) or ``"search-fallback"`` (a stored
+replay or the exhaustive pass) or ``"search-fallback"`` (a stored
 certificate failed re-validation and the game was re-solved).
 """
 
@@ -41,7 +39,6 @@ from ..errors import CertificateError, RefinementError
 from .simulation import (
     SimulationCertificate,
     SimulationResult,
-    _normalise_stimuli,
     find_weak_simulation,
     recheck_certificate,
 )
@@ -56,9 +53,7 @@ class RefinementReport:
     *mode* records the provenance of the verdict: ``"search"`` when the
     weak-simulation game was solved from scratch (cold), ``"recheck"``
     when a persisted certificate was re-validated (witness replay or the
-    exhaustive diagram pass), ``"recheck-incremental"`` when only the
-    touched region of a rewritten graph was re-validated against a
-    transported baseline certificate, and ``"search-fallback"`` when a
+    exhaustive diagram pass), and ``"search-fallback"`` when a
     stored certificate existed but failed re-validation and the game was
     re-solved from scratch — corruption costs time, never soundness.
 
@@ -70,7 +65,7 @@ class RefinementReport:
     """
 
     certificate: SimulationCertificate | None
-    mode: str = "search"  # "search" | "recheck" | "recheck-incremental" | "search-fallback"
+    mode: str = "search"  # "search" | "recheck" | "search-fallback"
     #: Detached-form statistics (``impl_states``/``spec_states``/
     #: ``relation_size``/``certificate_hash``), populated by
     #: :meth:`from_dict` when the certificate itself did not travel.
@@ -194,30 +189,19 @@ def io_stimuli(values_per_port: Mapping[int, Iterable[Value]]) -> dict[Port, tup
 
 
 def _load_cached_certificate(cache, key: str) -> tuple[SimulationCertificate | None, bool]:
-    """Fetch and decode a cached certificate, trying binary first.
+    """Fetch and decode a cached certificate from its binary (``.bin``) entry.
 
-    The compact binary entry (``.bin``, written by newer runs) is preferred
-    — smaller and ~5x faster to decode — with the JSON entry as the interop
-    fallback.  Returns ``(certificate, found)``: *found* is True whenever a
-    stored entry existed, even one that failed to decode (format drift,
-    hash mismatch, truncation — counted as recheck failures).
+    Returns ``(certificate, found)``: *found* is True whenever a stored
+    entry existed, even one that failed to decode (format drift, hash
+    mismatch, truncation — counted as recheck failures).
     """
-    found = False
-    blob = cache.get_bytes(key) if hasattr(cache, "get_bytes") else None
-    if blob is not None:
-        from .codec import from_bytes
+    blob = cache.get_bytes(key)
+    if blob is None:
+        return None, False
+    from .codec import from_bytes
 
-        found = True
-        try:
-            return from_bytes(blob), True
-        except CertificateError:
-            obs.count("refinement.cert_recheck_failures")
-            # fall through to the JSON entry, if any
-    entry = cache.get(key)
-    if entry is None:
-        return None, found
     try:
-        return SimulationCertificate.from_dict(entry), True
+        return from_bytes(blob), True
     except CertificateError:
         obs.count("refinement.cert_recheck_failures")
         return None, True
@@ -273,8 +257,6 @@ def check_rewrite_obligation(
     values: Iterable[Value] = (0, 1),
     spec_capacity: int | None = 4,
     cache=None,
-    executor=None,
-    sharded_ref: dict | None = None,
 ) -> RefinementReport:
     """Discharge the ``rhs ⊑ lhs`` obligation of a rewrite on a bounded instance.
 
@@ -292,18 +274,13 @@ def check_rewrite_obligation(
     that discard tokens (Sinks) would otherwise give the simulation game
     unboundedly many partially-drained spec states.
 
-    *cache* (a :class:`repro.exec.cache.ResultCache`-shaped object) enables
-    the certificate fast path: a prior successful check's certificate is
-    loaded (preferring the compact binary entry) and re-validated — via
+    *cache* (a :class:`repro.exec.cache.ResultCache`-shaped object with
+    ``get_bytes``/``put_bytes``) enables the certificate fast path: a prior
+    successful check's binary certificate is loaded and re-validated — via
     witness replay when witnesses are present, else the exhaustive pass; on
     success the report has ``mode="recheck"``, and on any re-validation
     failure the full search runs (``mode="search-fallback"``) and its fresh
     certificate replaces the stored one.
-
-    When *executor* and *sharded_ref* are both given, a cold search is
-    sharded over the executor pool
-    (:func:`~repro.refinement.sharded.find_weak_simulation_sharded`);
-    verdicts and certificate hashes are identical to the serial search.
     """
     rhs_module = denote(rhs.lower(), env)
     lhs_module = denote(lhs.lower(), env.with_capacity(spec_capacity))
@@ -322,15 +299,8 @@ def check_rewrite_obligation(
         if report is not None:
             return report
 
-    with obs.span("refine:weak-sim", obligation=True, sharded=sharded_ref is not None) as sp:
-        if executor is not None and sharded_ref is not None:
-            from .sharded import find_weak_simulation_sharded
-
-            result = find_weak_simulation_sharded(
-                rhs_module, lhs_module, stimuli, executor=executor, ref=sharded_ref
-            )
-        else:
-            result = find_weak_simulation(rhs_module, lhs_module, stimuli)
+    with obs.span("refine:weak-sim", obligation=True) as sp:
+        result = find_weak_simulation(rhs_module, lhs_module, stimuli)
         sp.set(holds=result.holds)
         if result.certificate is not None:
             sp.set(
@@ -345,21 +315,13 @@ def check_rewrite_obligation(
         )
     certificate = result.certificate
     assert certificate is not None
-    if cache is not None and key is not None:
-        _store_certificate(cache, key, certificate)
-    return RefinementReport(
-        certificate, mode="search-fallback" if had_candidate else "search"
-    )
-
-
-def _store_certificate(cache, key: str, certificate: SimulationCertificate) -> None:
-    """Persist a fresh certificate, preferring the compact binary entry."""
-    if hasattr(cache, "put_bytes"):
+    if cache is not None:
         from .codec import to_bytes
 
         cache.put_bytes(key, to_bytes(certificate))
-    else:
-        cache.put(key, certificate.to_dict())
+    return RefinementReport(
+        certificate, mode="search-fallback" if had_candidate else "search"
+    )
 
 
 def recheck_obligation_certificate(
@@ -395,95 +357,6 @@ def recheck_obligation_certificate(
         )
     obs.count("refinement.cert_cache_hits")
     return RefinementReport(certificate, mode="recheck")
-
-
-def recheck_obligation_incremental(
-    lhs: ExprHigh,
-    rhs_old: ExprHigh,
-    rhs_new: ExprHigh,
-    env: Environment,
-    certificate: SimulationCertificate,
-    stimuli: Stimuli | None = None,
-    values: Iterable[Value] = (0, 1),
-    spec_capacity: int | None = 4,
-    cache=None,
-) -> RefinementReport:
-    """Discharge ``rhs_new ⊑ lhs`` by upgrading evidence for ``rhs_old ⊑ lhs``.
-
-    *certificate* must be valid evidence for the old obligation (typically
-    the report of a prior :func:`check_rewrite_obligation` on *rhs_old*).
-    The incremental pass transports the relation onto the new graph's
-    state shape and re-validates only the moves of the touched region
-    (:mod:`repro.refinement.incremental`); the fallback chain is
-
-    1. incremental recheck  → ``mode="recheck-incremental"``
-    2. full recheck of the baseline certificate (when the incremental
-       argument does not apply but the state shape is unchanged)
-       → ``mode="recheck"``
-    3. full search → ``mode="search-fallback"``
-
-    so a stale or corrupted baseline costs time, never soundness.  The
-    upgraded certificate is stored under the *new* obligation's cache key
-    when *cache* is given.
-    """
-    from .incremental import incremental_recheck
-
-    rhs_module = denote(rhs_new.lower(), env)
-    lhs_module = denote(lhs.lower(), env.with_capacity(spec_capacity))
-    if stimuli is None:
-        stimuli = uniform_stimuli(rhs_module, values)
-    try:
-        wanted = _normalise_stimuli(rhs_module, stimuli)
-    except RefinementError:
-        wanted = None
-
-    if wanted is not None and wanted == certificate.stimuli:
-        with obs.span("refine:recheck-incremental", obligation=True) as sp:
-            outcome = incremental_recheck(
-                rhs_old, rhs_new, env, rhs_module, lhs_module, certificate, wanted
-            )
-            sp.set(
-                eligible=outcome.eligible,
-                entries=outcome.entries_validated,
-                moves=outcome.moves_checked,
-                reason=outcome.reason,
-            )
-        if (
-            outcome.eligible
-            and outcome.result is not None
-            and outcome.result.holds
-            and outcome.result.certificate is not None
-        ):
-            obs.count("refinement.incremental_hits")
-            upgraded = outcome.result.certificate
-            if cache is not None:
-                from ..exec.hashing import certificate_key
-
-                key = certificate_key(
-                    rhs_new, lhs, env, stimuli, spec_capacity=spec_capacity
-                )
-                _store_certificate(cache, key, upgraded)
-            return RefinementReport(upgraded, mode="recheck-incremental")
-        if not outcome.eligible:
-            # The incremental argument did not apply; the baseline may
-            # still recheck in full when the state shape is unchanged.
-            result = recheck_certificate(rhs_module, lhs_module, certificate, stimuli)
-            if result.holds:
-                obs.count("refinement.cert_cache_hits")
-                return RefinementReport(certificate, mode="recheck")
-    obs.count("refinement.incremental_fallbacks")
-    return_report = check_rewrite_obligation(
-        lhs,
-        rhs_new,
-        env,
-        stimuli,
-        values=values,
-        spec_capacity=spec_capacity,
-        cache=cache,
-    )
-    if return_report.mode == "search":
-        return_report.mode = "search-fallback"
-    return return_report
 
 
 def check_rewrite_obligation_traces(

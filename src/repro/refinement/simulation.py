@@ -736,8 +736,6 @@ def find_weak_simulation(
     spec: Module,
     stimuli: Stimuli,
     limit: int = 500_000,
-    *,
-    mint_witnesses: bool = True,
 ) -> SimulationResult:
     """Decide ``impl ⊑ spec`` on the bounded instance given by *stimuli*.
 
@@ -752,8 +750,7 @@ def find_weak_simulation(
     only the moves that actually referenced it are revisited.
 
     On success the certificate carries replay witnesses (the concrete spec
-    response each diagram used) unless *mint_witnesses* is False; see
-    :class:`ReplayWitnesses`.
+    response each diagram used); see :class:`ReplayWitnesses`.
     """
     interface = _interface_violation(impl, spec)
     if interface is not None:
@@ -797,13 +794,13 @@ def find_weak_simulation(
                 if moves[succ_idx] is None:
                     frontier.append(succ_idx)
 
-    return resolve_game(succ, pairs, moves, index_of, mint_witnesses=mint_witnesses)
+    return resolve_game(succ, pairs, moves, index_of)
 
 
 def expand_position(succ: _GameCache, sid: int, tid: int, intern) -> list[_Move]:
-    """Compute one game position's moves (spec responses interned via
-    *intern*).  Shared by the serial search and the sharded search's
-    local-expansion path."""
+    """Compute one game position's moves, interning each spec response
+    pair through *intern* (the forward-exploration step of
+    :func:`find_weak_simulation`)."""
     position_moves: list[_Move] = []
     inputs, outputs, internals = succ.impl_moves(sid)
 
@@ -844,15 +841,9 @@ def resolve_game(
     pairs: list[tuple[int, int]],
     moves: list,
     index_of: dict[int, int],
-    *,
-    mint_witnesses: bool = True,
 ) -> SimulationResult:
-    """Solve an explored simulation game and mint the certificate.
-
-    Shared by the serial search (which explores the arena in-process) and
-    the sharded search (which merges worker-expanded frontiers into the
-    same position/move tables before resolving).
-    """
+    """Solve the simulation game :func:`find_weak_simulation` explored and
+    mint the certificate with its replay witnesses."""
     impl, spec = succ.impl, succ.spec
 
     # Backward worklist: a position falls when some move runs out of winning
@@ -919,10 +910,9 @@ def resolve_game(
         iterations=iterations,
         stimuli=dict(succ.stimuli),
     )
-    if mint_witnesses:
-        certificate.witnesses = _extract_witnesses(
-            succ, pairs, moves, good, index_of, certificate
-        )
+    certificate.witnesses = _extract_witnesses(
+        succ, pairs, moves, good, index_of, certificate
+    )
     return SimulationResult(True, certificate=certificate)
 
 

@@ -19,6 +19,7 @@ from repro.exec.cache import ResultCache
 from repro.exec.hashing import certificate_key
 from repro.refinement import (
     SimulationCertificate,
+    certificate_to_bytes,
     check_rewrite_obligation,
     decode_state,
     encode_state,
@@ -286,19 +287,6 @@ class TestCacheFallback:
         # ...and the fallback repaired the cache with a fresh certificate.
         assert check_rewrite_obligation(lhs, rhs, env, cache=cache).mode == "recheck"
 
-    def test_json_entry_tampering_falls_back_to_search(self, env, tmp_path):
-        """The interop path: a tampered JSON entry is equally rejected."""
-        cache = ResultCache(tmp_path)
-        lhs, rhs = wide_graph(2), chain_graph(2)
-        good = check_rewrite_obligation(lhs, rhs, env, cache=cache)
-        key = obligation_key(lhs, rhs, env)
-        cache.bin_path_for(key).unlink()  # leave only the JSON entry
-        payload = good.certificate.to_dict()
-        payload["relation"] = payload["relation"][1:]  # hash now mismatches
-        cache.put(key, payload)
-        report = check_rewrite_obligation(lhs, rhs, env, cache=cache)
-        assert report.mode == "search-fallback"
-
     def test_hash_consistent_corruption_never_yields_wrong_holds(self, env, tmp_path):
         """The strongest tamper case: a certificate for a NON-refinement,
         re-serialised with a self-consistent hash, planted under the key of
@@ -313,7 +301,7 @@ class TestCacheFallback:
         # which serialises with a perfectly consistent hash) under its key.
         good = check_rewrite_obligation(wide_graph(2), chain_graph(2), env)
         key = obligation_key(lhs, rhs, env)
-        cache.put(key, good.certificate.to_dict())
+        cache.put_bytes(key, certificate_to_bytes(good.certificate))
         with pytest.raises(RefinementError):
             check_rewrite_obligation(lhs, rhs, env, cache=cache)
 
@@ -327,6 +315,6 @@ class TestCacheFallback:
             g.mark_output(0, "p", "out0")
         good = check_rewrite_obligation(lhs, lhs, env)  # id ⊑ id holds
         key = obligation_key(lhs, rhs, env)
-        cache.put(key, good.certificate.to_dict())
+        cache.put_bytes(key, certificate_to_bytes(good.certificate))
         with pytest.raises(RefinementError):
             check_rewrite_obligation(lhs, rhs, env, cache=cache)

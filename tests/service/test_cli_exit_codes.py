@@ -83,3 +83,10 @@ def test_unknown_strategy_exits_2(tmp_path, capsys):
          "--init", "i", "--cond-fork", "cf", "--strategy", "alchemy"]
     )
     assert code == 2
+
+
+def test_unknown_refine_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["refine", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Session lifecycle (close / context manager) and the keyword-only shim."""
+"""Session lifecycle (close / context manager) and keyword-only entry points."""
 
 import pytest
 
@@ -57,34 +57,23 @@ def test_metrics_still_readable_after_close():
     assert session.metrics().units >= 1  # inspection is not work dispatch
 
 
-# -- the positional deprecation shim -----------------------------------------
+# -- keyword-only entry points ------------------------------------------------
 
 
-def test_positional_transform_warns_and_works():
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, ck: s.transform(ck.graph, ck.mark),
+        lambda s, ck: s.simulate(ck, stimuli=matvec(4).arrays),
+        lambda s, ck: s.bench("matvec"),
+    ],
+    ids=["transform", "simulate", "bench"],
+)
+def test_positional_call_raises_typeerror(call):
     with Session(use_cache=False) as session:
         ck = _compiled(session)
-        with pytest.warns(DeprecationWarning, match="graph=.*mark="):
-            legacy = session.transform(ck.graph, ck.mark)
-        modern = session.transform(graph=ck.graph, mark=ck.mark)
-    assert legacy.to_dict() == modern.to_dict()
-
-
-def test_positional_simulate_warns_and_works():
-    program = matvec(4)
-    with Session(use_cache=False) as session:
-        ck = _compiled(session)
-        with pytest.warns(DeprecationWarning, match="graph_or_kernel="):
-            legacy = session.simulate(ck, stimuli=program.arrays)
-        modern = session.simulate(graph_or_kernel=ck, stimuli=program.arrays)
-    assert legacy.to_dict() == modern.to_dict()
-
-
-def test_positional_bench_warns_and_works():
-    with Session(use_cache=False) as session:
-        with pytest.warns(DeprecationWarning, match="name="):
-            legacy = session.bench("matvec")
-        modern = session.bench(name="matvec")
-    assert legacy.to_dict() == modern.to_dict()
+        with pytest.raises(TypeError, match="positional"):
+            call(session, ck)
 
 
 def test_keyword_calls_do_not_warn(recwarn):
@@ -100,9 +89,8 @@ def test_keyword_calls_do_not_warn(recwarn):
 def test_mixing_positional_and_keyword_is_an_error():
     with Session(use_cache=False) as session:
         ck = _compiled(session)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values"):
-                session.transform(ck.graph, graph=ck.graph, mark=ck.mark)
+        with pytest.raises(TypeError, match="positional"):
+            session.transform(ck.graph, graph=ck.graph, mark=ck.mark)
 
 
 def test_too_many_positionals_is_an_error():
@@ -114,11 +102,11 @@ def test_too_many_positionals_is_an_error():
 
 def test_missing_required_keywords_raise_typeerror():
     with Session(use_cache=False) as session:
-        with pytest.raises(TypeError, match="graph="):
+        with pytest.raises(TypeError, match="'graph'"):
             session.transform()
-        with pytest.raises(TypeError, match="graph_or_kernel="):
+        with pytest.raises(TypeError, match="'graph_or_kernel'"):
             session.simulate(stimuli={})
-        with pytest.raises(TypeError, match="name="):
+        with pytest.raises(TypeError, match="'name'"):
             session.bench()
 
 

@@ -152,7 +152,26 @@ def test_certificate_tamper_rejected(tmp_path):
     assert store.certificate(content_hash) is None  # recheck-validation fails
 
 
-def test_legacy_json_certificate_served_and_tamper_rejected(tmp_path):
+def test_json_certificate_entry_is_not_indexed(tmp_path):
+    """Certificates are stored binary only; a JSON payload planted under a
+    cache key is a job result to the store, never a served certificate."""
+    from repro.refinement.checker import check_rewrite_obligation
+    from repro.rewriting.rules import build_rewrite
+
+    rewrite = build_rewrite("repro.rewriting.rules.combine", "mux_combine", {})
+    lhs, rhs, env, stimuli = next(iter(rewrite.obligation()))
+    report = check_rewrite_obligation(lhs, rhs, env, stimuli)
+    content_hash = report.certificate.content_hash()
+    ResultCache(tmp_path).put("f" * 64, report.certificate.to_dict())
+
+    store = ResultStore(cache_dir=tmp_path)
+    assert store.refresh_certificates() == 0
+    assert store.certificate(content_hash) is None
+    assert store.certificate_bytes(content_hash) is None
+
+
+def test_certificate_bytes_round_trip(tmp_path):
+    from repro.refinement import certificate_from_bytes
     from repro.refinement.checker import check_rewrite_obligation
     from repro.rewriting.rules import build_rewrite
 
@@ -162,25 +181,9 @@ def test_legacy_json_certificate_served_and_tamper_rejected(tmp_path):
     report = check_rewrite_obligation(lhs, rhs, env, stimuli, cache=cache)
     content_hash = report.certificate.content_hash()
 
-    # re-store as a legacy JSON entry (pre-format-2 stores wrote these)
-    [bin_path] = [p for p in tmp_path.glob("*/*.bin")]
-    key = bin_path.stem
-    bin_path.unlink()
-    cache.put(key, report.certificate.to_dict())
-
     store = ResultStore(cache_dir=tmp_path)
-    payload = store.certificate(content_hash)
-    assert payload is not None and payload["hash"] == content_hash
-    # and its binary transcoding round-trips to the same hash
-    from repro.refinement.codec import content_hash_of
-
-    assert content_hash_of(store.certificate_bytes(content_hash)) == content_hash
-
-    # flip a relation entry inside the stored entry, keeping valid JSON
-    [path] = [p for p in tmp_path.glob("*/*.json") if key in p.name]
-    entry = json.loads(path.read_text())
-    entry["payload"]["relation"][0] = [999999, 999999]
-    path.write_text(json.dumps(entry))
-
-    fresh = ResultStore(cache_dir=tmp_path)
-    assert fresh.certificate(content_hash) is None  # recheck-validation fails
+    assert store.refresh_certificates() == 1
+    blob = store.certificate_bytes(content_hash)
+    assert blob is not None
+    assert certificate_from_bytes(blob).content_hash() == content_hash
+    assert store.certificate(content_hash) == report.certificate.to_dict()
