@@ -16,7 +16,8 @@ paper's dataflow rewrites:
 
 * **A real e-graph underneath.**  Every explored state is interned into a
   :class:`CircuitEGraph`: hash-consed e-nodes over node specs, a
-  union-find over e-classes, and a congruence-closure pass.  Cycles are
+  union-find over e-classes, and congruence closure repaired
+  incrementally after each merge (egg's deferred rebuild).  Cycles are
   broken by seeding each channel with a provisional e-class derived from
   its WL colour, which makes the closure a *conservative approximation*:
   equal channels may stay in distinct classes (costing sharing, never
@@ -137,7 +138,10 @@ def circuit_key(graph: ExprHigh) -> str:
     non-isomorphisms.  Keys only *deduplicate* exploration states —
     a collision prunes a variant, it never affects soundness.
     """
-    colors = _stable_colors(graph)
+    return _key_from_colors(graph, _stable_colors(graph))
+
+
+def _key_from_colors(graph: ExprHigh, colors: dict[str, str]) -> str:
     io = [f"i{index}:{colors[ep.node]}:{ep.port}" for index, ep in sorted(graph.inputs.items())]
     io += [f"o{index}:{colors[ep.node]}:{ep.port}" for index, ep in sorted(graph.outputs.items())]
     return _digest(*sorted(colors.values()), "--io--", *io)
@@ -155,10 +159,21 @@ class CircuitEGraph:
     occurrence, keyed by ``(typ, params, ordered input classes)`` with one
     output class per out port.  Cyclic graphs are admitted by seeding each
     channel with a provisional class derived from its WL colour, then
-    running congruence closure to fixpoint: e-nodes whose keys collapse
-    under ``find`` have their output classes unioned.  Because the WL seeds
-    may keep genuinely equal channels apart, the closure is conservative —
-    it under-merges, never over-merges.
+    closing the table under congruence: e-nodes whose keys collapse under
+    ``find`` have their output classes unioned.  Because the WL seeds may
+    keep genuinely equal channels apart, the closure is conservative — it
+    under-merges, never over-merges.
+
+    Closure is maintained incrementally with egg's deferred rebuild
+    (Willsey et al., POPL 2021): every class keeps a use-list of the table
+    keys naming it as a child, :meth:`union` queues the losing class's
+    uses, and :meth:`rebuild` re-canonicalises only the queued keys —
+    unioning the outputs of keys that now collide, which may queue more —
+    until the queue is empty.  Rebuild work therefore scales with merges,
+    not with table size (``repairs`` counts the keys it re-canonicalised).
+    The closure of a fixed e-node set is unique and the lower id always
+    stays root, so after a rebuild the table, ``find``, :attr:`enodes` and
+    :attr:`eclasses` are exactly those of a full-table fixpoint sweep.
 
     Whole circuits intern through :meth:`add_circuit`, which returns a root
     class summarising the tuple of marked outputs; rewrite applications
@@ -168,13 +183,17 @@ class CircuitEGraph:
 
     def __init__(self) -> None:
         self._parent: list[int] = []
+        self._uses: list[list[tuple]] = []  # per class: keys naming it as a child
         self._table: dict[tuple, tuple[int, ...]] = {}
         self._seed_class: dict[str, int] = {}
+        self._pending: list[tuple] = []  # keys whose children lost a union
+        self.repairs = 0  # keys re-canonicalised by rebuild()
 
     # -- union-find ----------------------------------------------------------
 
     def _fresh(self) -> int:
         self._parent.append(len(self._parent))
+        self._uses.append([])
         return len(self._parent) - 1
 
     def find(self, cls: int) -> int:
@@ -186,12 +205,24 @@ class CircuitEGraph:
         return root
 
     def union(self, a: int, b: int) -> int:
-        """Merge two e-classes; the lower root wins (deterministic)."""
+        """Merge two e-classes; the lower root wins (deterministic).
+
+        The loser's live uses are queued for :meth:`rebuild` and moved onto
+        the winner, the shorter use-list appended to the longer.
+        """
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return ra
         lo, hi = (ra, rb) if ra < rb else (rb, ra)
         self._parent[hi] = lo
+        moved = [key for key in self._uses[hi] if key in self._table]
+        self._pending.extend(moved)
+        kept = self._uses[lo]
+        if len(moved) > len(kept):
+            moved, kept = kept, moved
+        kept.extend(moved)
+        self._uses[lo] = kept
+        self._uses[hi] = []
         return lo
 
     # -- interning -----------------------------------------------------------
@@ -202,17 +233,30 @@ class CircuitEGraph:
             cls = self._seed_class[seed] = self._fresh()
         return cls
 
+    def _canonical(self, key: tuple) -> tuple:
+        if key[0] == "node":
+            return key[:3] + (tuple(map(self.find, key[3])),)
+        return ("root", tuple(map(self.find, key[1])))
+
     def _insert(self, key: tuple, outputs: tuple[int, ...]) -> None:
+        key = self._canonical(key)
         existing = self._table.get(key)
         if existing is None:
             self._table[key] = outputs
+            for child in set(_children(key)):
+                self._uses[child].append(key)
         else:
             for a, b in zip(existing, outputs):
                 self.union(a, b)
 
-    def add_circuit(self, graph: ExprHigh) -> int:
-        """Intern every node of *graph*; return the circuit's root class."""
-        colors = _stable_colors(graph)
+    def add_circuit(self, graph: ExprHigh, colors: dict[str, str] | None = None) -> int:
+        """Intern every node of *graph*; return the circuit's root class.
+
+        *colors* are the graph's :func:`_stable_colors`, when the caller
+        already computed them for :func:`circuit_key`.
+        """
+        if colors is None:
+            colors = _stable_colors(graph)
         channel: dict[tuple[str, str], int] = {}
         for name, spec in graph.nodes.items():
             for port in spec.out_ports:
@@ -236,7 +280,7 @@ class CircuitEGraph:
             params = tuple(sorted((k, repr(v)) for k, v in spec.param_dict().items()))
             key = ("node", spec.typ, params, tuple(inputs))
             self._insert(key, tuple(channel[(name, p)] for p in spec.out_ports))
-        self._congruence()
+        self.rebuild()
         root_inputs = tuple(
             self.find(channel[(ep.node, ep.port)])
             for _, ep in sorted(graph.outputs.items())
@@ -245,29 +289,16 @@ class CircuitEGraph:
         self._insert(("root", root_inputs), (root,))
         return self.find(root)
 
-    def _congruence(self) -> None:
-        """Rebuild the hash-cons table modulo ``find`` until stable."""
-        for _ in range(len(self._parent) + 1):
-            rebuilt: dict[tuple, tuple[int, ...]] = {}
-            changed = False
-            for key, outputs in self._table.items():
-                if key[0] == "node":
-                    _, typ, params, inputs = key
-                    key = ("node", typ, params, tuple(self.find(c) for c in inputs))
-                else:
-                    key = ("root", tuple(self.find(c) for c in key[1]))
-                outputs = tuple(self.find(c) for c in outputs)
-                existing = rebuilt.get(key)
-                if existing is None:
-                    rebuilt[key] = outputs
-                else:
-                    for a, b in zip(existing, outputs):
-                        if self.find(a) != self.find(b):
-                            self.union(a, b)
-                            changed = True
-            self._table = rebuilt
-            if not changed:
-                return
+    def rebuild(self) -> None:
+        """Restore congruence: re-canonicalise the queued keys until none is left."""
+        while self._pending:
+            key = self._pending.pop()
+            outputs = self._table.get(key)
+            if outputs is None:  # already repaired through another child
+                continue
+            del self._table[key]
+            self.repairs += 1
+            self._insert(key, outputs)  # canonicalises the key
 
     # -- statistics ----------------------------------------------------------
 
@@ -279,10 +310,14 @@ class CircuitEGraph:
     def eclasses(self) -> int:
         referenced: set[int] = set()
         for key, outputs in self._table.items():
-            children = key[3] if key[0] == "node" else key[1]
-            referenced.update(self.find(c) for c in children)
+            referenced.update(self.find(c) for c in _children(key))
             referenced.update(self.find(c) for c in outputs)
         return len(referenced)
+
+
+def _children(key: tuple) -> tuple[int, ...]:
+    """The child classes of a table key: a node's inputs, a root's marked outputs."""
+    return key[3] if key[0] == "node" else key[1]
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +524,8 @@ def saturate_graph(
     heap: list[tuple[float, int, int]] = []
 
     def intern(graph: ExprHigh, seed_index: int, steps: tuple[DerivationStep, ...]) -> int:
-        key = circuit_key(graph)
+        colors = _stable_colors(graph)
+        key = _key_from_colors(graph, colors)
         if key in seen:
             stats.deduped += 1
             return seen[key]
@@ -504,7 +540,7 @@ def saturate_graph(
         )
         states.append(state)
         seen[key] = order
-        roots[order] = egraph.add_circuit(graph)
+        roots[order] = egraph.add_circuit(graph, colors)
         stats.states += 1
         heapq.heappush(heap, (state.cost.time, state.cost.area, order))
         return order
@@ -547,8 +583,9 @@ def saturate_graph(
         stats.eclasses = egraph.eclasses
         obs.count("saturation.states", stats.states)
         obs.count("saturation.rules_fired", stats.rules_fired)
-        obs.gauge("saturation.enodes", egraph.enodes)
-        obs.gauge("saturation.eclasses", egraph.eclasses)
+        obs.count("saturation.congruence_repairs", egraph.repairs)
+        obs.gauge("saturation.enodes", stats.enodes)
+        obs.gauge("saturation.eclasses", stats.eclasses)
 
     if exhausted is not None:
         stats.budget_exhausted = True

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.components import buffer, default_environment, fork, pure, sink
-from repro.core import ExprHigh
+from repro.core import Environment, ExprHigh
+from repro.core.encoding import decode_component
+from repro.core.module import Module
 from repro.core.semantics import denote
 from repro.refinement import refines, uniform_stimuli
 from repro.rewriting.engine import RewriteEngine
@@ -71,6 +73,22 @@ def elastic_graphs(draw):
     return graph
 
 
+class ForkSlack:
+    """A denotation environment that widens only the Fork output queues.
+
+    ``denote`` needs nothing but ``lookup``: Forks are built with
+    *capacity* slots per output, every other component at *env*'s bound.
+    """
+
+    def __init__(self, env: Environment, capacity: int):
+        self._env = env
+        self._wide = env.with_capacity(capacity)
+
+    def lookup(self, component: str) -> Module:
+        name, _ = decode_component(component)
+        return (self._wide if name == "Fork" else self._env).lookup(component)
+
+
 NORMALIZERS = [pure_compose, fork_sink_elim, pure_id_elim, buffer_elim, fork_lift_pure]
 
 
@@ -86,19 +104,27 @@ class TestTheorem46Fuzz:
         rewritten = engine.apply_exhaustively(graph, rules, max_steps=64)
 
         impl = denote(rewritten.lower(), env)
-        # The spec's capacity margin must scale with the graph: lifting a
-        # chain of n Pures across a Fork (fork-lift-pure, applied n times)
-        # re-buffers the chain downstream of the fork, and the bounded
-        # check only relates the two with about n+2 slots of slack on the
-        # spec side.  A fixed margin flakes on deep generated chains.
-        spec = denote(graph.lower(), env.with_capacity(len(graph.nodes) + 2))
+        spec = denote(graph.lower(), env)
         if impl.input_ports() != spec.input_ports() or impl.output_ports() != spec.output_ports():
             raise AssertionError("rewriting changed the graph interface")
         # One stimulus value keeps the product game small even for graphs
         # with wide fork fan-out; the structural properties under test do
         # not depend on value diversity (incr distinguishes the paths).
         stimuli = uniform_stimuli(impl, (0,))
-        assert refines(impl, spec, stimuli), (
+        # Lifting a chain of n Pures across a Fork (fork-lift-pure, applied
+        # n times) re-buffers the chain below the fork, so its branches can
+        # drift about n+2 tokens apart; the spec's Fork queues need that
+        # much slack.  Refinement is monotone in the spec's queue capacity
+        # (a wider queue only adds behaviours), so holding at the narrowest
+        # sufficient Fork capacity up to node count + 2 implies refinement
+        # of the spec with *every* queue at that bound.  Narrow first: the
+        # game grows with the spec's state space, which is exponential in
+        # its queue count, and widening every queue made wide generated
+        # graphs exhaust memory.
+        assert any(
+            refines(impl, denote(graph.lower(), ForkSlack(env, capacity)), stimuli)
+            for capacity in range(1, len(graph.nodes) + 3)
+        ), (
             f"rewritten graph does not refine the original after "
             f"{[a.rewrite for a in engine.log]}"
         )

@@ -131,7 +131,50 @@ class TestCircuitEGraph:
         b = egraph.add_circuit(other)
         egraph.union(a, b)
         assert egraph.find(a) == egraph.find(b)
-        assert egraph.eclasses > 0
+
+    def test_union_propagates_congruence_downstream(self):
+        """Unioning the two differing upstream channels merges everything
+        downstream of them: buffer, fork, sink and finally the roots."""
+        egraph = CircuitEGraph()
+        a = egraph.add_circuit(chain_graph(["p", "b", "f", "s"]))
+        other = chain_graph(["p", "b", "f", "s"])
+        other.nodes["p"] = pure("id")
+        other._rebuild_indexes()
+        b = egraph.add_circuit(other)
+        assert egraph.find(a) != egraph.find(b)
+        assert egraph.enodes == 10  # two of each: pure, buffer, fork, sink, root
+
+        def outputs_of(typ):
+            return [
+                {egraph.find(c) for c in outputs}
+                for key, outputs in egraph._table.items()
+                if key[:2] == ("node", typ)
+            ]
+
+        upstream = outputs_of("Pure")
+        assert len(upstream) == 2 and upstream[0] != upstream[1]
+        egraph.union(min(upstream[0]), min(upstream[1]))
+        egraph.rebuild()
+        for typ in ("Buffer", "Fork", "Sink"):
+            assert len(outputs_of(typ)) == 1, f"{typ} e-nodes did not merge"
+        assert egraph.find(a) == egraph.find(b)
+        assert egraph.enodes == 6  # both pures, then one of each downstream
+        assert egraph.repairs > 0
+
+    def test_interning_canonicalises_boundary_inputs(self):
+        """A boundary-input class that lost a union is canonicalised on
+        insertion: re-interning the same circuit adds no e-node."""
+        egraph = CircuitEGraph()
+        graph = chain_graph(["p", "b", "f", "s"])
+        egraph.add_circuit(graph)
+        (pure_key,) = [key for key in egraph._table if key[:2] == ("node", "Pure")]
+        (boundary,) = pure_key[3]
+        assert boundary > 0
+        egraph.union(boundary, 0)  # the lower id wins: the boundary class loses
+        egraph.rebuild()
+        enodes = egraph.enodes
+        egraph.add_circuit(graph)
+        assert egraph.enodes == enodes
 
 
 class TestSaturationBudget:
@@ -192,6 +235,65 @@ class TestStrategySeam:
         assert d["saturation"]["states"] == result.saturation["states"] > 0
 
 
+class TestPinnedGcdRegression:
+    """Saturating gcd gives exactly the counters and Pareto circuits that
+    the full-table congruence rebuild produced: the incremental rebuild
+    must change speed only, never an explored or extracted figure."""
+
+    def test_saturation_counters_and_frontier_are_pinned(self):
+        import hashlib
+
+        from repro.api import Session
+
+        session = Session(use_cache=False)
+        ck = compile_program(gcd_program(), session.env).kernels[0]
+        result = session.transform(
+            graph=ck.graph,
+            mark=ck.mark,
+            strategy="saturate",
+            budget=SaturationBudget(max_states=24, max_iterations=48),
+        )
+        saturation = {
+            k: v for k, v in result.saturation.items() if not k.endswith("_seconds")
+        }
+        assert saturation == {
+            "states": 9,
+            "deduped": 3,
+            "enodes": 122,
+            "eclasses": 160,
+            "rules_fired": 10,
+            "matches_tried": 228,
+            "iterations": 9,
+            "frontier": 4,
+            "certified_points": 0,
+            "budget_exhausted": False,
+            "per_rule": {
+                "branch-combine": 2,
+                "fork-assoc": 2,
+                "merge-swap": 2,
+                "mux-combine": 3,
+                "split-join-elim": 1,
+            },
+        }
+        frontier = [
+            (p.derivation, hashlib.sha256(print_dot(p.graph).encode()).hexdigest())
+            for p in result.pareto
+        ]
+        assert frontier == [
+            ((), "73c1b8f4dc72cb64f80edc1aacc3114327dc273f6117d53078f685e6c17e7582"),
+            (
+                ("branch-combine", "mux-combine"),
+                "4e053998995e276d87c65c15f18facb43de1a00faa9111e3c3c26aa8c58847de",
+            ),
+            (
+                ("branch-combine",),
+                "2a6f863c777e35554bbe778e7fe8d9d1e377545026ad532c16f940299de6de38",
+            ),
+            ((), "5ed403bfe382927f432c16b3a8941d7e700fec2efc99a965626dd14a4769ba3d"),
+        ]
+        assert result.graph is result.pareto[0].graph
+
+
 class TestSaturateTransform:
     def test_best_never_worse_than_fixpoint(self, compiled_gcd):
         _, ck = compiled_gcd
@@ -242,6 +344,16 @@ class TestSaturateTransform:
         assert derived
         for state in derived[:5]:
             assert circuit_key(replay_derivation(ck.graph, state.steps)) == state.key
+
+    def test_congruence_repairs_counter(self, compiled_gcd):
+        _, ck = compiled_gcd
+        with use_tracer(Tracer()) as tracer:
+            _, egraph, _ = saturate_graph(
+                ck.graph,
+                saturation_rewrites(),
+                budget=SaturationBudget(max_states=24, max_iterations=48),
+            )
+        assert tracer.counters["saturation.congruence_repairs"] == egraph.repairs > 0
 
     def test_stats_merge_accumulates(self):
         a = SaturationStats(states=2, rules_fired=3, per_rule={"x": 3})
