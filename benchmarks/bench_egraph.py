@@ -6,8 +6,8 @@ built-in benchmark kernel,
 * the **fixpoint baseline** — modeled (area, cycles) cost of the
   destructive pipeline's output,
 * the **saturate strategy** — the extracted Pareto frontier, its best-cost
-  point, and the e-graph exploration counters (states, e-nodes, e-classes,
-  rule firings, wall time),
+  point, and the exploration counters (states, ``enodes`` — the total
+  node count over all explored states — rule firings, wall time),
 * **certification** — a cold run with obligation checking populates the
   certificate cache; a warm rerun must re-validate every extracted
   circuit's obligations through the certificate recheck path,
@@ -67,7 +67,6 @@ def collect_measurements(cache_dir: str) -> dict:
                         for key in (
                             "states",
                             "enodes",
-                            "eclasses",
                             "rules_fired",
                             "iterations",
                             "budget_exhausted",

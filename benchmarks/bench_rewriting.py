@@ -134,34 +134,28 @@ def collect_measurements(repeats: int = 5) -> dict:
 
         match_seconds, match_count = _best_of(repeats, enumerate_all)
 
-        def fixpoint(use_worklist):
+        def fixpoint():
             engine = RewriteEngine()
-            engine.apply_exhaustively(graph.copy(), rules, use_worklist=use_worklist)
+            engine.apply_exhaustively(graph.copy(), rules)
             return engine.stats
 
-        worklist_seconds, worklist_stats = _best_of(repeats, lambda: fixpoint(True))
-        scan_seconds, scan_stats = _best_of(repeats, lambda: fixpoint(False))
+        fixpoint_seconds, stats = _best_of(repeats, fixpoint)
         results[name] = {
             "nodes": len(graph.nodes),
             "edges": len(graph.connections),
             "match_enumeration_seconds": round(match_seconds, 6),
             "matches_enumerated": match_count,
-            "fixpoint_worklist_seconds": round(worklist_seconds, 6),
-            "fixpoint_scan_seconds": round(scan_seconds, 6),
-            "rewrites_applied": worklist_stats.rewrites_applied,
-            "worklist_matches_tried": worklist_stats.matches_tried,
-            "scan_matches_tried": scan_stats.matches_tried,
-            "worklist_scans": worklist_stats.worklist_scans,
-            "full_scans": worklist_stats.full_scans,
+            "fixpoint_seconds": round(fixpoint_seconds, 6),
+            "rewrites_applied": stats.rewrites_applied,
+            "matches_tried": stats.matches_tried,
         }
-        assert worklist_stats.rewrites_applied == scan_stats.rewrites_applied
     return results
 
 
 def measure_overhead(repeats: int = 5) -> dict:
     """Cost of the observability instrumentation on the rewrite fixpoint.
 
-    Three configurations of the same workload (the worklist fixpoint on the
+    Three configurations of the same workload (the rewrite fixpoint on the
     largest graphs), interleaved round-robin and reported best-of:
 
     * ``stubbed`` — ``obs.span``/``count``/``gauge`` replaced by no-ops,
@@ -188,7 +182,7 @@ def measure_overhead(repeats: int = 5) -> dict:
     def fixpoint() -> None:
         engine = RewriteEngine()
         for graph, rules in workload:
-            engine.apply_exhaustively(graph.copy(), rules, use_worklist=True)
+            engine.apply_exhaustively(graph.copy(), rules)
 
     def timed(fn) -> float:
         start = perf_counter()

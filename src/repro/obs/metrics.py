@@ -26,13 +26,13 @@ class MetricsSnapshot:
 
     * ``executor`` — ``units``/``hits``/``executed``/``retries``/
       ``total_seconds`` from the work-unit executor;
-    * ``rewriting`` — ``rewrites_applied``/``matches_tried``/``seconds``/
-      ``full_scans``/``worklist_scans`` plus ``per_rewrite`` keyed by
-      rewrite name (``applied``/``matches_tried``/``match_seconds``);
-    * ``saturation`` — e-graph backend counters accumulated across
-      ``strategy="saturate"`` transforms: ``states``/``enodes``/
-      ``eclasses``/``rules_fired``/``frontier``/``budget_exhausted`` and
-      the saturate/extract/certify timings;
+    * ``rewriting`` — ``rewrites_applied``/``matches_tried``/``seconds``
+      plus ``per_rewrite`` keyed by rewrite name (``applied``/
+      ``matches_tried``/``match_seconds``);
+    * ``saturation`` — exploration counters accumulated across
+      ``strategy="saturate"`` transforms: ``states``/``enodes`` (the total
+      node count over all explored states)/``rules_fired``/``frontier``/
+      ``budget_exhausted`` and the saturate/extract/certify timings;
     * ``counters``/``gauges`` — the observability tracer's typed counters
       (e.g. ``matcher.plan_cache_hits``) and gauges.
     """
@@ -120,8 +120,8 @@ class MetricsSnapshot:
             )
         if self.saturation:
             parts.append(
-                f"saturation: {int(self.saturation.get('states', 0))} states,"
-                f" {int(self.saturation.get('enodes', 0))} e-nodes,"
+                f"saturation: {int(self.saturation.get('states', 0))} states"
+                f" ({int(self.saturation.get('enodes', 0))} nodes),"
                 f" {int(self.saturation.get('frontier', 0))} pareto points"
             )
         if self.counters:

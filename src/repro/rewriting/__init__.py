@@ -1,6 +1,6 @@
 """The verified rewriting framework: patterns, matching, application,
-the e-graph backends (term-level oracle and whole-circuit saturation),
-and the five-phase out-of-order pipeline."""
+the term-level e-graph oracle, whole-circuit equality saturation, and
+the five-phase out-of-order pipeline."""
 
 from .apply import Application, apply_rewrite
 from .engine import EngineStats, RewriteEngine
@@ -10,7 +10,6 @@ from .purify import PurityError, Region, compose_region, discover_region, purify
 from .rewrite import Match, Rewrite, Var, pattern
 from .saturate import (
     STRATEGIES,
-    CircuitEGraph,
     CircuitState,
     DerivationStep,
     ParetoPoint,
@@ -43,7 +42,6 @@ __all__ = [
     "Var",
     "pattern",
     "STRATEGIES",
-    "CircuitEGraph",
     "CircuitState",
     "DerivationStep",
     "ParetoPoint",

@@ -177,7 +177,6 @@ class GraphitiPipeline:
     check_obligations: bool = False
     check_types: bool = False
     cache: object | None = None  # a repro.exec result cache for obligation discharges
-    use_worklist: bool = True  # dirty-region fixpoints; False forces whole-graph scans
     strategy: str = "fixpoint"
     budget: SaturationBudget | None = None  # saturate-strategy exploration limits
     engine: RewriteEngine = field(init=False)
@@ -225,9 +224,7 @@ class GraphitiPipeline:
             # Phase 1: combine steering.
             with obs.span("phase:normalize"):
                 working = self.engine.apply_exhaustively(
-                    working,
-                    [combine.mux_combine(), combine.branch_combine()],
-                    use_worklist=self.use_worklist,
+                    working, [combine.mux_combine(), combine.branch_combine()]
                 )
             # Phase 2: eliminate leftovers.  Identity-wire removal exposes new
             # Split/Join adjacencies, so the two interleave to a fixpoint.
@@ -239,9 +236,7 @@ class GraphitiPipeline:
             with obs.span("phase:eliminate"):
                 while True:
                     applied_before = self.engine.stats.rewrites_applied
-                    working = self.engine.apply_exhaustively(
-                        working, cleanup, use_worklist=self.use_worklist
-                    )
+                    working = self.engine.apply_exhaustively(working, cleanup)
                     nodes_before = len(working.nodes)
                     working = remove_identity_wires(working)
                     if (
@@ -320,9 +315,9 @@ class GraphitiPipeline:
             stats = SaturationStats()
             seeds = [fix.graph] if fix.transformed else []
             with obs.span("phase:saturate"):
-                states, _, stats = saturate_graph(
+                states, stats = saturate_graph(
                     graph,
-                    saturation_rewrites(tags=mark.tags),
+                    saturation_rewrites(),
                     budget=self.budget,
                     stats=stats,
                     extra_seeds=seeds,

@@ -1,7 +1,8 @@
 """Equality saturation over whole circuits with cost-based Pareto extraction.
 
-This generalises the term-level :mod:`repro.rewriting.egraph` (the purify
-oracle) to complete :class:`~repro.core.exprhigh.ExprHigh` graphs.  Where
+This lifts the explore-then-extract idea of the term-level
+:mod:`repro.rewriting.egraph` (the purify oracle) to complete
+:class:`~repro.core.exprhigh.ExprHigh` graphs.  Where
 the destructive pipeline commits to one rewrite order and one answer,
 saturation explores the closure of a circuit under a rewrite set and
 extracts *all* cost-optimal variants — the SEER recipe, adapted to the
@@ -14,23 +15,17 @@ paper's dataflow rewrites:
   sequence of ``(Rewrite, Match)`` steps), deduplicated by a
   name-independent Weisfeiler-Leman fingerprint (:func:`circuit_key`).
 
-* **A real e-graph underneath.**  Every explored state is interned into a
-  :class:`CircuitEGraph`: hash-consed e-nodes over node specs, a
-  union-find over e-classes, and congruence closure repaired
-  incrementally after each merge (egg's deferred rebuild).  Cycles are
-  broken by seeding each channel with a provisional e-class derived from
-  its WL colour, which makes the closure a *conservative approximation*:
-  equal channels may stay in distinct classes (costing sharing, never
-  soundness).  Each rewrite application unions the parent and child root
-  classes, so after saturation every reachable variant of one seed lives
-  in one e-class — extraction is cost-based selection inside that class.
+* **Extraction reads the states.**  Every reached variant is kept as one
+  concrete state, and extraction (:func:`extract_pareto`) is a cost-based
+  selection over the explored state list.  Unlike SEER, no e-graph of
+  shared e-classes stands behind it.
 
 * **Matching is the PR-2 matcher.**  E-matching runs the existing indexed
   :func:`~repro.rewriting.matcher.find_matches` with its cached per-rewrite
   plans, so every :class:`~repro.rewriting.rewrite.Rewrite` in the library
   participates unmodified.
 
-* **Soundness via replay.**  Extracted circuits are not trusted e-graph
+* **Soundness via replay.**  Extracted circuits are not trusted exploration
   artefacts: each Pareto point carries its derivation, every step of which
   is an ordinary rewrite application whose refinement obligation the
   certificate layer discharges (:func:`repro.refinement.checker.
@@ -138,186 +133,10 @@ def circuit_key(graph: ExprHigh) -> str:
     non-isomorphisms.  Keys only *deduplicate* exploration states —
     a collision prunes a variant, it never affects soundness.
     """
-    return _key_from_colors(graph, _stable_colors(graph))
-
-
-def _key_from_colors(graph: ExprHigh, colors: dict[str, str]) -> str:
+    colors = _stable_colors(graph)
     io = [f"i{index}:{colors[ep.node]}:{ep.port}" for index, ep in sorted(graph.inputs.items())]
     io += [f"o{index}:{colors[ep.node]}:{ep.port}" for index, ep in sorted(graph.outputs.items())]
     return _digest(*sorted(colors.values()), "--io--", *io)
-
-
-# ---------------------------------------------------------------------------
-# The circuit e-graph: hash-consed e-nodes, union-find, congruence closure
-# ---------------------------------------------------------------------------
-
-
-class CircuitEGraph:
-    """Hash-consed e-nodes over node specs with union-find e-classes.
-
-    One e-class per *channel* (a node output port); one e-node per node
-    occurrence, keyed by ``(typ, params, ordered input classes)`` with one
-    output class per out port.  Cyclic graphs are admitted by seeding each
-    channel with a provisional class derived from its WL colour, then
-    closing the table under congruence: e-nodes whose keys collapse under
-    ``find`` have their output classes unioned.  Because the WL seeds may
-    keep genuinely equal channels apart, the closure is conservative — it
-    under-merges, never over-merges.
-
-    Closure is maintained incrementally with egg's deferred rebuild
-    (Willsey et al., POPL 2021): every class keeps a use-list of the table
-    keys naming it as a child, :meth:`union` queues the losing class's
-    uses, and :meth:`rebuild` re-canonicalises only the queued keys —
-    unioning the outputs of keys that now collide, which may queue more —
-    until the queue is empty.  Rebuild work therefore scales with merges,
-    not with table size (``repairs`` counts the keys it re-canonicalised).
-    The closure of a fixed e-node set is unique and the lower id always
-    stays root, so after a rebuild the table, ``find``, :attr:`enodes` and
-    :attr:`eclasses` are exactly those of a full-table fixpoint sweep.
-
-    Whole circuits intern through :meth:`add_circuit`, which returns a root
-    class summarising the tuple of marked outputs; rewrite applications
-    union parent and child roots (:meth:`union`), so "every variant reached
-    from this seed" is literally one e-class.
-    """
-
-    def __init__(self) -> None:
-        self._parent: list[int] = []
-        self._uses: list[list[tuple]] = []  # per class: keys naming it as a child
-        self._table: dict[tuple, tuple[int, ...]] = {}
-        self._seed_class: dict[str, int] = {}
-        self._pending: list[tuple] = []  # keys whose children lost a union
-        self.repairs = 0  # keys re-canonicalised by rebuild()
-
-    # -- union-find ----------------------------------------------------------
-
-    def _fresh(self) -> int:
-        self._parent.append(len(self._parent))
-        self._uses.append([])
-        return len(self._parent) - 1
-
-    def find(self, cls: int) -> int:
-        root = cls
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[cls] != root:  # path compression
-            self._parent[cls], cls = root, self._parent[cls]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        """Merge two e-classes; the lower root wins (deterministic).
-
-        The loser's live uses are queued for :meth:`rebuild` and moved onto
-        the winner, the shorter use-list appended to the longer.
-        """
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        lo, hi = (ra, rb) if ra < rb else (rb, ra)
-        self._parent[hi] = lo
-        moved = [key for key in self._uses[hi] if key in self._table]
-        self._pending.extend(moved)
-        kept = self._uses[lo]
-        if len(moved) > len(kept):
-            moved, kept = kept, moved
-        kept.extend(moved)
-        self._uses[lo] = kept
-        self._uses[hi] = []
-        return lo
-
-    # -- interning -----------------------------------------------------------
-
-    def _class_for_seed(self, seed: str) -> int:
-        cls = self._seed_class.get(seed)
-        if cls is None:
-            cls = self._seed_class[seed] = self._fresh()
-        return cls
-
-    def _canonical(self, key: tuple) -> tuple:
-        if key[0] == "node":
-            return key[:3] + (tuple(map(self.find, key[3])),)
-        return ("root", tuple(map(self.find, key[1])))
-
-    def _insert(self, key: tuple, outputs: tuple[int, ...]) -> None:
-        key = self._canonical(key)
-        existing = self._table.get(key)
-        if existing is None:
-            self._table[key] = outputs
-            for child in set(_children(key)):
-                self._uses[child].append(key)
-        else:
-            for a, b in zip(existing, outputs):
-                self.union(a, b)
-
-    def add_circuit(self, graph: ExprHigh, colors: dict[str, str] | None = None) -> int:
-        """Intern every node of *graph*; return the circuit's root class.
-
-        *colors* are the graph's :func:`_stable_colors`, when the caller
-        already computed them for :func:`circuit_key`.
-        """
-        if colors is None:
-            colors = _stable_colors(graph)
-        channel: dict[tuple[str, str], int] = {}
-        for name, spec in graph.nodes.items():
-            for port in spec.out_ports:
-                channel[(name, port)] = self._class_for_seed(
-                    _digest("chan", colors[name], port)
-                )
-        for name in sorted(graph.nodes, key=lambda n: colors[n]):
-            spec = graph.nodes[name]
-            inputs = []
-            for port in spec.in_ports:
-                src = graph.source_of(name, port)
-                if src is None:  # boundary input: class per interface index
-                    index = next(
-                        (i for i, ep in graph.inputs.items()
-                         if ep.node == name and ep.port == port),
-                        None,
-                    )
-                    inputs.append(self._class_for_seed(_digest("io-in", str(index))))
-                else:
-                    inputs.append(self.find(channel[(src.node, src.port)]))
-            params = tuple(sorted((k, repr(v)) for k, v in spec.param_dict().items()))
-            key = ("node", spec.typ, params, tuple(inputs))
-            self._insert(key, tuple(channel[(name, p)] for p in spec.out_ports))
-        self.rebuild()
-        root_inputs = tuple(
-            self.find(channel[(ep.node, ep.port)])
-            for _, ep in sorted(graph.outputs.items())
-        )
-        root = self._class_for_seed(_digest("root", *map(str, root_inputs)))
-        self._insert(("root", root_inputs), (root,))
-        return self.find(root)
-
-    def rebuild(self) -> None:
-        """Restore congruence: re-canonicalise the queued keys until none is left."""
-        while self._pending:
-            key = self._pending.pop()
-            outputs = self._table.get(key)
-            if outputs is None:  # already repaired through another child
-                continue
-            del self._table[key]
-            self.repairs += 1
-            self._insert(key, outputs)  # canonicalises the key
-
-    # -- statistics ----------------------------------------------------------
-
-    @property
-    def enodes(self) -> int:
-        return len(self._table)
-
-    @property
-    def eclasses(self) -> int:
-        referenced: set[int] = set()
-        for key, outputs in self._table.items():
-            referenced.update(self.find(c) for c in _children(key))
-            referenced.update(self.find(c) for c in outputs)
-        return len(referenced)
-
-
-def _children(key: tuple) -> tuple[int, ...]:
-    """The child classes of a table key: a node's inputs, a root's marked outputs."""
-    return key[3] if key[0] == "node" else key[1]
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +155,6 @@ class SaturationBudget:
 
     max_states: int = 256
     max_iterations: int = 512
-    max_enodes: int = 50_000
     on_exhausted: str = "partial"
 
     def __post_init__(self) -> None:
@@ -352,8 +170,7 @@ class SaturationStats:
 
     states: int = 0  # distinct circuit variants interned
     deduped: int = 0  # applications rediscovering a known variant
-    enodes: int = 0
-    eclasses: int = 0
+    enodes: int = 0  # total nodes over all interned states
     rules_fired: int = 0  # successful rewrite applications
     matches_tried: int = 0  # matcher candidate bindings
     iterations: int = 0  # states expanded
@@ -373,7 +190,6 @@ class SaturationStats:
         self.states += other.states
         self.deduped += other.deduped
         self.enodes += other.enodes
-        self.eclasses += other.eclasses
         self.rules_fired += other.rules_fired
         self.matches_tried += other.matches_tried
         self.iterations += other.iterations
@@ -391,7 +207,6 @@ class SaturationStats:
             "states": self.states,
             "deduped": self.deduped,
             "enodes": self.enodes,
-            "eclasses": self.eclasses,
             "rules_fired": self.rules_fired,
             "matches_tried": self.matches_tried,
             "iterations": self.iterations,
@@ -467,7 +282,7 @@ class ParetoPoint:
         )
 
 
-def saturation_rewrites(tags: int = 4) -> list[Rewrite]:
+def saturation_rewrites() -> list[Rewrite]:
     """The default saturation rule set: structural, cost-relevant rewrites.
 
     Excluded on purpose: the ``pure_gen`` family (collapsing operators into
@@ -479,8 +294,6 @@ def saturation_rewrites(tags: int = 4) -> list[Rewrite]:
     be passed to :func:`saturate_graph` directly.
     """
     from .rules import combine, extra, reduction
-
-    del tags  # reserved: tag-parametric structural rules
     return [
         combine.mux_combine(),
         combine.branch_combine(),
@@ -501,34 +314,29 @@ def saturate_graph(
     budget: SaturationBudget | None = None,
     stats: SaturationStats | None = None,
     extra_seeds: Iterable[ExprHigh] = (),
-) -> tuple[list[CircuitState], CircuitEGraph, SaturationStats]:
+) -> tuple[list[CircuitState], SaturationStats]:
     """Explore the closure of *seed* (and *extra_seeds*) under *rewrites*.
 
     Best-first: the cheapest unexpanded state (by modeled time, then area,
     then insertion order) is expanded next, every rewrite match spawning a
-    child state.  States are deduplicated by :func:`circuit_key`; each
-    application unions the parent and child root e-classes in the returned
-    :class:`CircuitEGraph`.  Runs until the space is exhausted (true
-    saturation) or the budget trips — then either raises
-    :class:`~repro.errors.SaturationLimitError` or returns the partial
-    exploration, per ``budget.on_exhausted``.
+    child state.  States are deduplicated by :func:`circuit_key`.  Runs
+    until the space is exhausted (true saturation) or the budget trips —
+    then either raises :class:`~repro.errors.SaturationLimitError` or
+    returns the partial exploration, per ``budget.on_exhausted``.
     """
     budget = budget if budget is not None else SaturationBudget()
     stats = stats if stats is not None else SaturationStats()
     start = perf_counter()
 
-    egraph = CircuitEGraph()
     states: list[CircuitState] = []
-    seen: dict[str, int] = {}
-    roots: dict[int, int] = {}  # state order -> e-class root
+    seen: set[str] = set()
     heap: list[tuple[float, int, int]] = []
 
-    def intern(graph: ExprHigh, seed_index: int, steps: tuple[DerivationStep, ...]) -> int:
-        colors = _stable_colors(graph)
-        key = _key_from_colors(graph, colors)
+    def intern(graph: ExprHigh, seed_index: int, steps: tuple[DerivationStep, ...]) -> None:
+        key = circuit_key(graph)
         if key in seen:
             stats.deduped += 1
-            return seen[key]
+            return
         order = len(states)
         state = CircuitState(
             graph=graph,
@@ -539,11 +347,10 @@ def saturate_graph(
             steps=steps,
         )
         states.append(state)
-        seen[key] = order
-        roots[order] = egraph.add_circuit(graph, colors)
+        seen.add(key)
         stats.states += 1
+        stats.enodes += len(graph.nodes)
         heapq.heappush(heap, (state.cost.time, state.cost.area, order))
-        return order
 
     for seed_index, graph in enumerate([seed, *extra_seeds]):
         intern(graph, seed_index, ())
@@ -557,9 +364,6 @@ def saturate_graph(
             if len(states) >= budget.max_states:
                 exhausted = f"state budget ({budget.max_states}) exhausted"
                 break
-            if egraph.enodes >= budget.max_enodes:
-                exhausted = f"e-node budget ({budget.max_enodes}) exhausted"
-                break
             _, _, order = heapq.heappop(heap)
             state = states[order]
             stats.iterations += 1
@@ -568,10 +372,7 @@ def saturate_graph(
                 for match in list(find_matches(state.graph, rewrite, stats=mstats)):
                     child, _ = apply_rewrite(state.graph, rewrite, match)
                     stats.fire(rewrite.name)
-                    child_order = intern(
-                        child, state.seed, state.steps + (DerivationStep(rewrite, match),)
-                    )
-                    egraph.union(roots[state.order], roots[child_order])
+                    intern(child, state.seed, state.steps + (DerivationStep(rewrite, match),))
                     if len(states) >= budget.max_states:
                         break
                 stats.matches_tried += mstats.candidates
@@ -579,13 +380,9 @@ def saturate_graph(
                     break
     finally:
         stats.saturate_seconds += perf_counter() - start
-        stats.enodes = egraph.enodes
-        stats.eclasses = egraph.eclasses
         obs.count("saturation.states", stats.states)
         obs.count("saturation.rules_fired", stats.rules_fired)
-        obs.count("saturation.congruence_repairs", egraph.repairs)
         obs.gauge("saturation.enodes", stats.enodes)
-        obs.gauge("saturation.eclasses", stats.eclasses)
 
     if exhausted is not None:
         stats.budget_exhausted = True
@@ -596,7 +393,7 @@ def saturate_graph(
                 f"{stats.states} states ({stats.rules_fired} rule firings); "
                 "pass a larger SaturationBudget or on_exhausted='partial'"
             )
-    return states, egraph, stats
+    return states, stats
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +451,7 @@ def replay_derivation(seed: ExprHigh, steps: Iterable[DerivationStep]) -> ExprHi
     deterministic fresh-name generation, so replaying the recorded steps
     from the same seed rebuilds the exact graph the exploration reached —
     the property that lets a certificate-checked rewrite sequence stand in
-    for trusting the e-graph.
+    for trusting the exploration.
     """
     graph = seed
     for step in steps:

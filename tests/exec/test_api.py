@@ -299,7 +299,7 @@ class TestVersion:
         from repro import _version
 
         assert repro.__version__ == _version.__version__
-        assert tuple(int(part) for part in repro.__version__.split(".")) >= (1, 9, 0)
+        assert tuple(int(part) for part in repro.__version__.split(".")) >= (1, 10, 0)
 
 
 class TestSessionSimulate:

@@ -95,7 +95,7 @@ class TestGoldenTransformTrace:
         for record in records:
             if record["name"].startswith("rewrite:") and record["attrs"].get("applied"):
                 children = {r["name"] for r in records if r["parent"] == record["id"]}
-                if record["attrs"].get("scope") in ("full", "worklist"):
+                if record["attrs"].get("scope") == "full":
                     assert {"match", "apply"} <= children
 
     def test_profile_totals_agree_with_session_metrics(self, tracer):

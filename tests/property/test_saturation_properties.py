@@ -74,9 +74,9 @@ def test_best_point_dominates_fixpoint_and_frontier_is_sound(name, max_states):
 )
 def test_every_derivation_replays_to_its_state(name, max_states):
     _, ck = compiled_kernel(name)
-    states, _, _ = saturate_graph(
+    states, _ = saturate_graph(
         ck.graph,
-        saturation_rewrites(tags=ck.mark.tags),
+        saturation_rewrites(),
         budget=SaturationBudget(max_states=max_states, max_iterations=2 * max_states),
     )
     assert states and not states[0].steps, "the seed itself is always state zero"

@@ -124,36 +124,6 @@ class TestExhaustive:
         assert engine.stats.seconds >= 0.0
         assert engine.stats.matches_tried >= 2
 
-    def test_worklist_matches_full_scan_output(self):
-        from repro.exec.hashing import graph_fingerprint
-
-        worklist = RewriteEngine().apply_exhaustively(
-            pure_chain(6), [fork_sink_elim(), pure_compose()]
-        )
-        scan = RewriteEngine().apply_exhaustively(
-            pure_chain(6), [fork_sink_elim(), pure_compose()], use_worklist=False
-        )
-        assert graph_fingerprint(worklist) == graph_fingerprint(scan)
-
-    def test_worklist_restricts_rescans(self):
-        # split-join-elim fails its first full scan (no Split in a pure
-        # chain) and is then only re-matched against the dirty region each
-        # time pure-compose fires.
-        engine = RewriteEngine()
-        engine.apply_exhaustively(pure_chain(8), [split_join_elim(), pure_compose()])
-        assert engine.stats.worklist_scans > 0
-        scan_engine = RewriteEngine()
-        scan_engine.apply_exhaustively(
-            pure_chain(8), [split_join_elim(), pure_compose()], use_worklist=False
-        )
-        assert engine.stats.full_scans < scan_engine.stats.full_scans
-
-    def test_escape_hatch_never_uses_worklist(self):
-        engine = RewriteEngine()
-        engine.apply_exhaustively(pure_chain(5), [pure_compose()], use_worklist=False)
-        assert engine.stats.worklist_scans == 0
-        assert engine.stats.full_scans > 0
-
 
 class TestVerifiedFraction:
     def test_empty_log_is_fully_verified(self):
