@@ -7,8 +7,7 @@ reproduction::
 
     python -m repro.cli transform circuit.dot --mux mux_a --mux mux_b \
         --branch br_a --branch br_b --init init0 --cond-fork cf0 --tags 8
-    python -m repro.cli verify            # discharge every rewrite obligation
-    python -m repro.cli refine            # certified: recheck stored certificates
+    python -m repro.cli refine            # discharge every rewrite obligation (certified)
     python -m repro.cli refine --dump-certs certs/   # export certificate files
     python -m repro.cli refine --dump-certs certs/ --cert-format binary  # .grc
     python -m repro.cli refine --load-certs certs/   # independently re-validate
@@ -131,28 +130,6 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         print(output)
     print(result.summary(), file=sys.stderr)
     print(session.metrics().summary(), file=sys.stderr)
-    return 0
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    session = _session(args)
-    failures = 0
-    with _observe(args):
-        outcomes = session.verify()
-    for outcome in outcomes:
-        if outcome["holds"]:
-            status = "verified"
-        elif outcome["verified_flag"]:
-            status = f"FAILED ({outcome['detail']})"
-            failures += 1
-        else:
-            status = f"REFUTED ({outcome['detail']})"
-        print(f"{outcome['rewrite']:20s} {status}  [{outcome['seconds']:.2f}s]")
-    print(session.metrics().summary(), file=sys.stderr)
-    if failures:
-        print(f"{failures} verified-marked rewrites failed", file=sys.stderr)
-        return 1
-    print("all verified rewrites discharged; unverified ones refuted as documented")
     return 0
 
 
@@ -610,7 +587,8 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser: every subcommand and its flags."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -636,10 +614,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_exec_flags(transform)
     transform.set_defaults(fn=_cmd_transform)
-
-    verify = sub.add_parser("verify", help="discharge every rewrite obligation")
-    _add_exec_flags(verify)
-    verify.set_defaults(fn=_cmd_verify)
 
     refine = sub.add_parser(
         "refine",
@@ -788,8 +762,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_exec_flags(serve)
     serve.set_defaults(fn=_cmd_serve)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         print(f"error: --jobs must be >= 1 (got {args.jobs})", file=sys.stderr)
         return 2

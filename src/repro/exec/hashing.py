@@ -21,7 +21,7 @@ differently.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -116,22 +116,6 @@ def eval_unit_key(
     )
 
 
-def obligation_fingerprint(name: str, instances: Sequence[tuple]) -> str:
-    """Cache key for a rewrite's refinement-obligation discharge.
-
-    *instances* are the rewrite's ``(lhs, rhs, env, stimuli)`` obligation
-    instances; the key covers each instance's graphs, environment signature
-    and stimuli, plus the tool version.
-    """
-    parts: list[str] = ["obligation", TOOL_VERSION, name]
-    for lhs, rhs, env, stimuli in instances:
-        parts.append(graph_fingerprint(lhs))
-        parts.append(graph_fingerprint(rhs))
-        parts.append(env.signature())
-        parts.append(stimuli_fingerprint(stimuli))
-    return fingerprint(*parts)
-
-
 def certificate_key(
     impl: ExprHigh,
     spec: ExprHigh,
@@ -141,10 +125,9 @@ def certificate_key(
 ) -> str:
     """Cache key for a persisted simulation certificate.
 
-    Distinct from :func:`weak_sim_key` (which addresses a check's *verdict*
-    dict) because the payload shape differs: this key addresses the
-    serialised :class:`~repro.refinement.simulation.SimulationCertificate`
-    itself, which the reader re-validates rather than trusts.  Covers both
+    The key addresses the serialised
+    :class:`~repro.refinement.simulation.SimulationCertificate` itself,
+    which the reader re-validates rather than trusts.  Covers both
     graphs, the environment signature, the stimuli, the spec capacity and
     the tool version — any drift in what the certificate is evidence *for*
     misses the cache and forces a fresh search.
@@ -181,24 +164,3 @@ def sat_cross_check_key(name: str, instances: Sequence[tuple], bound: int) -> st
         parts.append(env.signature())
         parts.append(stimuli_fingerprint(stimuli))
     return fingerprint(*parts)
-
-
-def weak_sim_key(
-    impl: ExprHigh,
-    spec: ExprHigh,
-    env: Environment,
-    stimuli: Mapping | None,
-    values: Iterable | None = None,
-    spec_capacity: int | None = None,
-) -> str:
-    """Cache key for one weak-simulation (graph refinement) check."""
-    return fingerprint(
-        "weak-sim",
-        TOOL_VERSION,
-        graph_fingerprint(impl),
-        graph_fingerprint(spec),
-        env.signature(),
-        stimuli_fingerprint(stimuli),
-        repr(tuple(values) if values is not None else None),
-        repr(spec_capacity),
-    )

@@ -4,6 +4,7 @@ from .checker import (
     RefinementReport,
     check_graph_refinement,
     check_refinement,
+    check_rewrite,
     check_rewrite_obligation,
     io_stimuli,
     recheck_obligation_certificate,
@@ -40,6 +41,7 @@ __all__ = [
     "RefinementReport",
     "check_graph_refinement",
     "check_refinement",
+    "check_rewrite",
     "check_rewrite_obligation",
     "io_stimuli",
     "recheck_obligation_certificate",

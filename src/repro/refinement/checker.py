@@ -8,7 +8,9 @@ of the library uses:
   denoted in a given environment (definition 4.5 instantiated on graphs);
 * :func:`check_rewrite_obligation` — discharge a rewrite's ``rhs ⊑ lhs``
   obligation on a bounded instance, the executable stand-in for the Lean
-  proof that theorem 4.6 then propagates to whole graphs.
+  proof that theorem 4.6 then propagates to whole graphs;
+* :func:`check_rewrite` — every instance of one rewrite's obligation, the
+  single path the engine, the pipeline and the executor workers share.
 
 Since v1.4 obligation checks are *certified*: a successful search's
 :class:`~repro.refinement.simulation.SimulationCertificate` can be stored
@@ -322,6 +324,30 @@ def check_rewrite_obligation(
     return RefinementReport(
         certificate, mode="search-fallback" if had_candidate else "search"
     )
+
+
+def check_rewrite(rewrite, cache=None) -> list[RefinementReport]:
+    """Discharge every bounded instance of a rewrite's ``rhs ⊑ lhs`` obligation.
+
+    The one place a rewrite obligation is decided: each instance
+    of *rewrite* (a :class:`~repro.rewriting.rewrite.Rewrite`) goes
+    through :func:`check_rewrite_obligation` with *cache*, so a warm run
+    re-validates the stored certificate rather than trusting a verdict.
+    Returns one report per instance, in instance order.  Raises
+    :class:`RefinementError` on the first refuted instance, and when the
+    rewrite has no obligation to check.
+    """
+    if rewrite.obligation is None:
+        raise RefinementError(
+            f"rewrite {rewrite.name!r} has no obligation instances to check"
+        )
+    with obs.span(f"obligation:{rewrite.name}") as sp:
+        reports = [
+            check_rewrite_obligation(lhs, rhs, env, stimuli, cache=cache)
+            for lhs, rhs, env, stimuli in rewrite.obligation()
+        ]
+        sp.set(instances=len(reports), modes=",".join(report.mode for report in reports))
+    return reports
 
 
 def recheck_obligation_certificate(

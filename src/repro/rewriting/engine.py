@@ -20,8 +20,8 @@ from typing import Sequence
 
 from .. import obs
 from ..core.exprhigh import ExprHigh
-from ..errors import RefinementError, RewriteError
-from ..refinement.checker import check_rewrite_obligation
+from ..errors import RewriteError
+from ..refinement.checker import check_rewrite
 from .apply import Application, apply_rewrite
 from .matcher import MatchStats, first_match
 from .rewrite import Match, Rewrite
@@ -98,37 +98,16 @@ class RewriteEngine:
         """Discharge the rewrite's refinement obligation on its instances.
 
         Returns True when every bounded instance of ``rhs ⊑ lhs`` holds;
-        raises :class:`RefinementError` on a counterexample.  Results are
-        cached per rewrite name within this engine, and — when the engine
-        was given a result cache — across processes keyed by the content of
-        the obligation instances, so an already-discharged obligation is
-        never re-simulated.
+        raises :class:`RefinementError` on a counterexample.  Each rewrite
+        is checked once per engine; across engines the obligation goes
+        through :func:`~repro.refinement.checker.check_rewrite` with the
+        engine's result cache, so a warm run re-validates the stored
+        certificates instead of re-solving the simulation game — and never
+        trusts a stored verdict.
         """
-        if rewrite.name in self._discharged:
-            return True
-        if rewrite.obligation is None:
-            raise RefinementError(
-                f"rewrite {rewrite.name!r} has no obligation instances to check"
-            )
-        with obs.span(f"obligation:{rewrite.name}") as sp:
-            instances = list(rewrite.obligation())
-            sp.set(instances=len(instances))
-            key = None
-            if self.cache is not None:
-                from ..exec.hashing import obligation_fingerprint
-
-                key = obligation_fingerprint(rewrite.name, instances)
-                entry = self.cache.get(key)
-                if isinstance(entry, dict) and entry.get("holds"):
-                    obs.count("engine.obligation_cache_hits")
-                    sp.set(cached=True)
-                    self._discharged.add(rewrite.name)
-                    return True
-            for lhs, rhs, env, stimuli in instances:
-                check_rewrite_obligation(lhs, rhs, env, stimuli)
-            if key is not None:
-                self.cache.put(key, {"holds": True, "rewrite": rewrite.name})
-        self._discharged.add(rewrite.name)
+        if rewrite.name not in self._discharged:
+            check_rewrite(rewrite, cache=self.cache)
+            self._discharged.add(rewrite.name)
         return True
 
     # -- application ----------------------------------------------------------

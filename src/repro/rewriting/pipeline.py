@@ -351,7 +351,7 @@ class GraphitiPipeline:
         Each Pareto point is a replayed rewrite sequence; its guarantee is
         the conjunction of the per-rewrite refinement obligations along the
         derivation.  Obligations route through
-        :func:`~repro.refinement.checker.check_rewrite_obligation` with the
+        :func:`~repro.refinement.checker.check_rewrite` with the
         pipeline's result cache, so warm runs re-validate stored
         certificates (``mode="recheck"``) instead of re-solving the
         simulation games.  Mirroring the engine, only ``verified`` rewrites
@@ -363,7 +363,7 @@ class GraphitiPipeline:
         """
         from time import perf_counter
 
-        from ..refinement.checker import RefinementError, check_rewrite_obligation
+        from ..refinement.checker import RefinementError, check_rewrite
 
         start = perf_counter()
         discharged: dict[str, bool] = {}
@@ -376,18 +376,16 @@ class GraphitiPipeline:
                     rewrite = by_name[name]
                     holds = True
                     if rewrite.verified and rewrite.obligation is not None:
-                        for lhs, rhs, env, stimuli in rewrite.obligation():
-                            try:
-                                report = check_rewrite_obligation(
-                                    lhs, rhs, env, stimuli, cache=self.cache
-                                )
-                            except RefinementError:
-                                # A failed obligation poisons every point
-                                # using this rewrite, not the whole run.
-                                holds = False
-                                obs.count("saturation.certify_failed")
-                                break
-                            obs.count(f"saturation.certify_{report.mode}")
+                        try:
+                            reports = check_rewrite(rewrite, cache=self.cache)
+                        except RefinementError:
+                            # A failed obligation poisons every point
+                            # using this rewrite, not the whole run.
+                            holds = False
+                            obs.count("saturation.certify_failed")
+                        else:
+                            for report in reports:
+                                obs.count(f"saturation.certify_{report.mode}")
                     discharged[name] = holds
                 certified = certified and holds
             point.certified = certified

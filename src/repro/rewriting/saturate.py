@@ -51,7 +51,6 @@ from typing import Iterable, Sequence
 
 from .. import obs
 from ..core.exprhigh import ExprHigh
-from ..errors import SaturationLimitError
 from ..hls.area import CircuitCost, circuit_cost
 from .apply import apply_rewrite
 from .matcher import MatchStats, find_matches
@@ -146,22 +145,15 @@ def circuit_key(graph: ExprHigh) -> str:
 
 @dataclass(frozen=True)
 class SaturationBudget:
-    """Exploration limits; ``on_exhausted`` picks the overrun policy.
+    """Exploration limits.
 
-    ``"partial"`` (the default) stops exploring and extracts from whatever
-    was reached — the frontier is still sound, merely less explored.
-    ``"error"`` raises :class:`~repro.errors.SaturationLimitError` instead.
+    A run that trips either limit stops exploring and extracts from
+    whatever was reached — the frontier is still sound, merely less
+    explored — and records ``budget_exhausted`` in its stats.
     """
 
     max_states: int = 256
     max_iterations: int = 512
-    on_exhausted: str = "partial"
-
-    def __post_init__(self) -> None:
-        if self.on_exhausted not in ("partial", "error"):
-            raise ValueError(
-                f"on_exhausted must be 'partial' or 'error', got {self.on_exhausted!r}"
-            )
 
 
 @dataclass
@@ -321,8 +313,8 @@ def saturate_graph(
     then insertion order) is expanded next, every rewrite match spawning a
     child state.  States are deduplicated by :func:`circuit_key`.  Runs
     until the space is exhausted (true saturation) or the budget trips —
-    then either raises :class:`~repro.errors.SaturationLimitError` or
-    returns the partial exploration, per ``budget.on_exhausted``.
+    then returns the partial exploration with ``stats.budget_exhausted``
+    set.
     """
     budget = budget if budget is not None else SaturationBudget()
     stats = stats if stats is not None else SaturationStats()
@@ -355,14 +347,11 @@ def saturate_graph(
     for seed_index, graph in enumerate([seed, *extra_seeds]):
         intern(graph, seed_index, ())
 
-    exhausted: str | None = None
     try:
         while heap:
-            if stats.iterations >= budget.max_iterations:
-                exhausted = f"iteration budget ({budget.max_iterations}) exhausted"
-                break
-            if len(states) >= budget.max_states:
-                exhausted = f"state budget ({budget.max_states}) exhausted"
+            if stats.iterations >= budget.max_iterations or len(states) >= budget.max_states:
+                stats.budget_exhausted = True
+                obs.count("saturation.budget_exhausted")
                 break
             _, _, order = heapq.heappop(heap)
             state = states[order]
@@ -383,16 +372,6 @@ def saturate_graph(
         obs.count("saturation.states", stats.states)
         obs.count("saturation.rules_fired", stats.rules_fired)
         obs.gauge("saturation.enodes", stats.enodes)
-
-    if exhausted is not None:
-        stats.budget_exhausted = True
-        obs.count("saturation.budget_exhausted")
-        if budget.on_exhausted == "error":
-            raise SaturationLimitError(
-                f"equality saturation stopped: {exhausted} after exploring "
-                f"{stats.states} states ({stats.rules_fired} rule firings); "
-                "pass a larger SaturationBudget or on_exhausted='partial'"
-            )
     return states, stats
 
 

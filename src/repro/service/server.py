@@ -15,7 +15,7 @@ Architecture::
                                │ checkout Session, run_in_executor
                                ▼
                     ThreadPoolExecutor (N threads, scoped tracer each)
-                               │ Session.transform/verify/simulate/bench
+                               │ Session.transform/check_obligations/simulate/bench
                                ▼
                             ResultStore (content-addressed dedupe)
 

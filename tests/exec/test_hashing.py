@@ -9,12 +9,10 @@ from repro.exec.hashing import (
     eval_unit_key,
     fingerprint,
     graph_fingerprint,
-    obligation_fingerprint,
     program_fingerprint,
     stimuli_fingerprint,
 )
 from repro.hls.frontend import compile_program
-from repro.rewriting.rules.combine import mux_combine
 
 
 def small_graph() -> ExprHigh:
@@ -120,8 +118,3 @@ class TestUnitKeys:
         other.arrays["x"][...] = np.arange(len(other.arrays["x"]))
         other_compiled = compile_program(other, default_environment())
         assert eval_unit_key("DF-IO", other, other_compiled, env) != keys["DF-IO"]
-
-    def test_obligation_fingerprint_stable_per_rewrite(self):
-        first = obligation_fingerprint("mux-combine", list(mux_combine().obligation()))
-        second = obligation_fingerprint("mux-combine", list(mux_combine().obligation()))
-        assert first == second

@@ -7,7 +7,7 @@ from repro import obs
 from repro.components import buffer, default_environment, fork, pure, sink
 from repro.core import ExprHigh
 from repro.dot import print_dot
-from repro.errors import RewriteError, SaturationLimitError
+from repro.errors import RewriteError
 from repro.exec.cache import ResultCache
 from repro.hls.area import circuit_cost
 from repro.hls.frontend import compile_program
@@ -101,19 +101,9 @@ class TestCircuitKey:
 
 
 class TestSaturationBudget:
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError, match="on_exhausted"):
-            SaturationBudget(on_exhausted="bogus")
-
-    def test_error_policy_raises_on_exhaustion(self, compiled_gcd):
-        _, ck = compiled_gcd
-        budget = SaturationBudget(max_states=3, on_exhausted="error")
-        with pytest.raises(SaturationLimitError, match="state budget"):
-            saturate_graph(ck.graph, saturation_rewrites(), budget=budget)
-
     def test_partial_policy_returns_partial_exploration(self, compiled_gcd):
         _, ck = compiled_gcd
-        budget = SaturationBudget(max_states=3, on_exhausted="partial")
+        budget = SaturationBudget(max_states=3)
         states, stats = saturate_graph(ck.graph, saturation_rewrites(), budget=budget)
         assert stats.budget_exhausted
         assert 1 <= len(states) <= 3
@@ -121,9 +111,10 @@ class TestSaturationBudget:
 
     def test_iteration_budget_trips(self, compiled_gcd):
         _, ck = compiled_gcd
-        budget = SaturationBudget(max_iterations=1, on_exhausted="error")
-        with pytest.raises(SaturationLimitError, match="iteration budget"):
-            saturate_graph(ck.graph, saturation_rewrites(), budget=budget)
+        budget = SaturationBudget(max_iterations=1)
+        _, stats = saturate_graph(ck.graph, saturation_rewrites(), budget=budget)
+        assert stats.budget_exhausted
+        assert stats.iterations == 1
 
 
 class TestStrategySeam:
@@ -295,9 +286,17 @@ class TestCertification:
             assert all(p.certified for p in result.pareto)
             derived = [p for p in result.pareto if p.derivation]
             assert derived, "need derived points to exercise certification"
-        assert counters["cold"].get("saturation.certify_search", 0) > 0
-        assert counters["warm"].get("saturation.certify_recheck", 0) > 0
-        assert counters["warm"].get("saturation.certify_search", 0) == 0
+        # Cold, every obligation is searched once: the engine's fixpoint run
+        # and the certifier share one certificate cache, so the certifier
+        # may already re-check what the engine stored.
+        cold, warm = counters["cold"], counters["warm"]
+        assert cold.get("refinement.weak_sim_checks", 0) > 0
+        assert cold.get("saturation.certify_search", 0) + cold.get(
+            "saturation.certify_recheck", 0
+        ) > 0
+        assert warm.get("saturation.certify_recheck", 0) > 0
+        assert warm.get("saturation.certify_search", 0) == 0
+        assert warm.get("refinement.weak_sim_checks", 0) == 0
 
     def test_uncertified_without_obligation_checking(self, compiled_gcd):
         _, ck = compiled_gcd

@@ -6,7 +6,7 @@ Asserts the three service guarantees under saturation:
   the same call made on an in-process Session (deduped, coalesced and
   freshly computed submissions alike);
 * **metric isolation** — each job's request-scoped counters reflect only
-  its own work: concurrent verify jobs all report the same
+  its own work: concurrent obligation jobs all report the same
   ``refinement.weak_sim_checks`` count, and simulate jobs report none;
 * **clean cancellation** — jobs cancelled while the pool is saturated end
   ``cancelled`` without poisoning the queue for later jobs.
@@ -88,8 +88,8 @@ def test_no_cross_job_metric_bleed(make_server):
     # uncached server: every job recomputes, so per-job counters are exact
     _, client = make_server(workers=4, use_cache=False)
 
-    def verify_job(_):
-        job = client.submit("verify", {"rules": ["mux_combine"]}, dedup=False)
+    def obligation_job(_):
+        job = client.submit("check_obligations", {"rules": ["mux_combine"]}, dedup=False)
         return client.wait(job["id"])
 
     def simulate_job(_):
@@ -99,24 +99,24 @@ def test_no_cross_job_metric_bleed(make_server):
         return client.wait(job["id"])
 
     with ThreadPoolExecutor(max_workers=16) as pool:
-        verifies = pool.map(verify_job, range(6))
+        obligations = pool.map(obligation_job, range(6))
         simulates = pool.map(simulate_job, range(6))
-        verify_finals = list(verifies)
+        obligation_finals = list(obligations)
         simulate_finals = list(simulates)
 
     weak_sim_counts = {
         final["metrics"]["counters"].get("refinement.weak_sim_checks", 0)
-        for final in verify_finals
+        for final in obligation_finals
     }
     assert len(weak_sim_counts) == 1, (
-        f"concurrent verify jobs saw different counters: {weak_sim_counts}"
+        f"concurrent obligation jobs saw different counters: {weak_sim_counts}"
     )
     assert weak_sim_counts.pop() >= 1
 
     for final in simulate_finals:
         counters = final["metrics"]["counters"]
         assert counters.get("refinement.weak_sim_checks", 0) == 0, (
-            "a simulate job absorbed a concurrent verify job's counters"
+            "a simulate job absorbed a concurrent obligation job's counters"
         )
 
 

@@ -16,7 +16,6 @@ from repro.service.store import ResultStore, job_key
 def test_kind_catalogue():
     assert JOB_KINDS == (
         "transform",
-        "verify",
         "check_obligations",
         "sat_check",
         "simulate",
@@ -64,8 +63,8 @@ def test_different_params_different_keys():
         ("simulate", {"kernel": "matvec", "jobs": 4}, "unknown parameter"),
         ("bench", {}, "name"),
         ("bench", {"name": "matvec", "extra": 1}, "unknown parameter"),
-        ("verify", {"rules": ["made_up_rule"]}, "unknown rule"),
-        ("verify", {"rules": "mux_combine"}, "list"),
+        ("check_obligations", {"rules": ["made_up_rule"]}, "unknown rule"),
+        ("check_obligations", {"rules": "mux_combine"}, "list"),
         ("check_obligations", {"rules": [42]}, "list"),
     ],
 )
@@ -74,8 +73,8 @@ def test_invalid_params_rejected(kind, params, match):
         canonical_params(kind, params)
 
 
-def test_verify_rules_are_sorted_and_deduped():
-    params = canonical_params("verify", {"rules": ["ooo_loop", "mux_combine", "ooo_loop"]})
+def test_obligation_rules_are_sorted_and_deduped():
+    params = canonical_params("check_obligations", {"rules": ["ooo_loop", "mux_combine", "ooo_loop"]})
     assert params == {"rules": ["mux_combine", "ooo_loop"]}
 
 

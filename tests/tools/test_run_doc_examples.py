@@ -84,3 +84,33 @@ class TestExecution:
         assert tool.main([str(good), "-q"]) == 0
         assert tool.main([str(good), str(bad), "-q"]) == 1
         assert tool.main([str(tmp_path / "missing.md")]) == 2
+
+
+class TestCliLint:
+    def test_documented_cli_lines_are_parsed(self, tool, tmp_path):
+        doc = tmp_path / "doc.md"
+        doc.write_text(
+            "```console\n"
+            "$ python -m repro.cli refine --rule mux_combine   # comment\n"
+            "$ python -m repro.cli serve --port 8750 &\n"
+            "$ python -m repro.cli transform gcd.dot --mux … --profile\n"
+            "$ ls\n"
+            "```\n"
+        )
+        parsed, failures = tool.lint_cli_lines(doc, verbose=False)
+        assert (parsed, failures) == (2, [])
+
+    def test_planted_bad_cli_line_fails_the_tool(self, tool, tmp_path):
+        doc = tmp_path / "bad.md"
+        doc.write_text(
+            "```python\nassert True\n```\n\n"
+            "```console\n$ python -m repro.cli verify --rule mux_combine\n```\n"
+        )
+        parsed, failures = tool.lint_cli_lines(doc, verbose=False)
+        assert (parsed, failures) == (0, [f"{doc}:6"])
+        assert tool.main([str(doc), "-q"]) == 1
+
+    def test_cli_lines_outside_console_fences_are_ignored(self, tool, tmp_path):
+        doc = tmp_path / "doc.md"
+        doc.write_text("```sh\npython -m repro.cli verify\n```\n")
+        assert tool.lint_cli_lines(doc, verbose=False) == (0, [])

@@ -3,12 +3,18 @@
 
 The docs are part of the tested surface: a code example that drifts from
 the real API is worse than no example, so CI runs this tool over README.md
-and docs/*.md and fails when any block raises.
+and docs/*.md and fails when any block raises, or when a documented
+command line no longer parses.
 
 Rules:
 
-* only fences whose info string starts with ``python`` run; other
-  languages (``console``, ``text``, dot snippets …) are ignored;
+* only fences whose info string starts with ``python`` run; ``text``, dot
+  snippets and other languages are ignored;
+* every ``$ python -m repro.cli …`` line of a ``console`` fence is parsed
+  with the CLI's own argument parser (:func:`repro.cli.build_parser`) —
+  parsed, never run.  A trailing ``&`` and ``#`` comments are stripped;
+  lines containing an ellipsis (``…`` or ``...``) are elided examples and
+  skipped;
 * a fence tagged ``python no-run`` is extracted but not executed — for
   illustrative fragments that are deliberately incomplete;
 * all blocks in one file share a namespace, in order, so later examples
@@ -28,12 +34,14 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+CLI_PREFIX = "$ python -m repro.cli "
 
 
 @dataclass
@@ -113,6 +121,37 @@ def run_file(path: Path, verbose: bool = True) -> tuple[int, int, list[str]]:
     return ran, skipped, failures
 
 
+def lint_cli_lines(path: Path, verbose: bool = True) -> tuple[int, list[str]]:
+    """Parse a file's console-fence CLI lines; ``(parsed, failures)``."""
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    parsed = 0
+    failures: list[str] = []
+    for block in extract_blocks(path.read_text()):
+        if block.info.split()[:1] != ["console"]:
+            continue
+        for offset, line in enumerate(block.source.splitlines(), start=1):
+            command = line.strip()
+            if not command.startswith(CLI_PREFIX) or "…" in command or "..." in command:
+                continue
+            argv = shlex.split(command[len(CLI_PREFIX):], comments=True)
+            if argv[-1:] == ["&"]:
+                argv.pop()
+            location = f"{path}:{block.line + offset}"
+            try:
+                parser.parse_args(argv)
+            except SystemExit as exc:
+                if exc.code:
+                    failures.append(location)
+                    print(f"FAIL {location}: {command}", file=sys.stderr)
+                    continue
+            parsed += 1
+            if verbose:
+                print(f"ok   {location}: {command}")
+    return parsed, failures
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -127,20 +166,22 @@ def main(argv: list[str] | None = None) -> int:
     if src not in sys.path:
         sys.path.insert(0, src)
 
-    total_ran = total_skipped = 0
+    total_ran = total_skipped = total_parsed = 0
     all_failures: list[str] = []
     for path in paths:
         if not path.exists():
             print(f"error: {path} does not exist", file=sys.stderr)
             return 2
         ran, skipped, failures = run_file(path, verbose=not args.quiet)
+        parsed, cli_failures = lint_cli_lines(path, verbose=not args.quiet)
         total_ran += ran
         total_skipped += skipped
-        all_failures.extend(failures)
+        total_parsed += parsed
+        all_failures.extend(failures + cli_failures)
 
     summary = (
         f"{total_ran} blocks executed from {len(paths)} files"
-        f" ({total_skipped} tagged no-run)"
+        f" ({total_skipped} tagged no-run), {total_parsed} CLI lines parsed"
     )
     if all_failures:
         print(f"{summary}; {len(all_failures)} FAILED: {', '.join(all_failures)}")
